@@ -29,15 +29,14 @@ let with_typed_errors run =
         (Hlp_util.Err.to_string e);
       Hlp_util.Err.exit_code e
 
-let circuit_enum =
-  [ ("adder", Hlp_logic.Generators.adder_circuit);
-    ("multiplier", Hlp_logic.Generators.multiplier_circuit);
-    ("max", Hlp_logic.Generators.max_circuit);
-    ("alu", Hlp_logic.Generators.alu_circuit);
-    ("comparator", Hlp_logic.Generators.comparator_circuit);
-    ("parity", Hlp_logic.Generators.parity_circuit) ]
+(* Cmdliner's [enum] compares values to render the default in --help,
+   which raises on closures. Tables of generators therefore parse to their
+   names ([name_enum]); the command looks the generator up afterwards. *)
+let name_enum alts = Arg.enum (List.map (fun (name, _) -> (name, name)) alts)
 
-let stream_enum =
+let circuits = Hlp_power.Service.circuits
+
+let streams =
   [ ("uniform", fun rng ~width ~n -> Hlp_sim.Streams.uniform rng ~width ~n);
     ("walk", fun rng ~width ~n -> Hlp_sim.Streams.gaussian_walk rng ~width ~sigma:20.0 ~n);
     ("correlated",
@@ -89,15 +88,16 @@ let estimate circuit width cycles stream seed engine jobs profile telemetry_json
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
+  Hlp_power.Service.check_width ~what:"--width" width;
   if profile || telemetry_json <> None || run_report <> None then
     Hlp_util.Telemetry.enable ();
   if trace_out <> None then Hlp_util.Trace.enable ();
   let guard = Hlp_util.Guard.create ?deadline_s:deadline () in
-  let net = circuit width in
+  let net = List.assoc circuit circuits width in
   Printf.printf "circuit: %s\n" (Hlp_logic.Netlist.stats_string net);
   let nin = Array.length net.Hlp_logic.Netlist.inputs in
   let rng = Hlp_util.Prng.create seed in
-  let trace = stream rng ~width:nin ~n:cycles in
+  let trace = List.assoc stream streams rng ~width:nin ~n:cycles in
   let vector i = Array.init nin (fun b -> Hlp_util.Bits.bit trace.(i) b) in
   let r =
     match
@@ -210,18 +210,18 @@ let estimate circuit width cycles stream seed engine jobs profile telemetry_json
 
 let estimate_cmd =
   let circuit =
-    Arg.(value & opt (enum circuit_enum) Hlp_logic.Generators.multiplier_circuit
-         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
+    Arg.(value & opt (name_enum circuits) "multiplier"
+         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuits))
   in
-  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
+  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width, 1..24") in
   let cycles =
     Arg.(value & opt (int_at_least 2 "--cycles") 2000
          & info [ "cycles" ]
              ~doc:"simulation cycles (>= 2: the reference averages over trace transitions)")
   in
   let stream =
-    Arg.(value & opt (enum stream_enum) (List.assoc "uniform" stream_enum)
-         & info [ "stream" ] ~docv:"STREAM" ~doc:(enum_doc stream_enum))
+    Arg.(value & opt (name_enum streams) "uniform"
+         & info [ "stream" ] ~docv:"STREAM" ~doc:(enum_doc streams))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let engine =
@@ -365,12 +365,12 @@ let parse_jobs_file path =
          in
          let circuit_name = str "circuit" "multiplier" in
          let circuit =
-           match List.assoc_opt circuit_name circuit_enum with
+           match List.assoc_opt circuit_name circuits with
            | Some c -> c
            | None ->
                bad
                  (where "circuit" ^ " unknown: " ^ circuit_name ^ " (expected "
-                 ^ enum_doc circuit_enum ^ ")")
+                 ^ enum_doc circuits ^ ")")
          in
          let engine_name = str "engine" "bitparallel" in
          let engine =
@@ -1664,7 +1664,7 @@ let chaos_cmd =
 
 (* --- bus-encode --- *)
 
-let trace_enum =
+let traces =
   [ ("sequential", fun _ ~width ~n -> Hlp_bus.Traces.sequential () ~width ~n);
     ("jumps",
      fun rng ~width ~n -> Hlp_bus.Traces.sequential_with_jumps rng ~jump_prob:0.05 ~width ~n);
@@ -1677,8 +1677,17 @@ let trace_enum =
     ("random", fun rng ~width ~n -> Hlp_bus.Traces.random_data rng ~width ~n) ]
 
 let bus_encode trace width n seed =
+  with_typed_errors @@ fun () ->
+  let schemes =
+    [ Hlp_bus.Encoding.Binary; Hlp_bus.Encoding.Gray_code; Hlp_bus.Encoding.Bus_invert;
+      Hlp_bus.Encoding.T0; Hlp_bus.Encoding.T0_bus_invert;
+      Hlp_bus.Encoding.Working_zone { zones = 4; offset_bits = 4 } ]
+  in
+  (* every encoder's width precondition, before any trace or encoder runs;
+     training checks the Beach code's own *)
+  List.iter (fun scheme -> Hlp_bus.Encoding.check_width scheme ~width) schemes;
   let rng = Hlp_util.Prng.create seed in
-  let stream = trace rng ~width ~n in
+  let stream = List.assoc trace traces rng ~width ~n in
   let train = Hlp_bus.Traces.loop_kernel rng ~body:12 ~iterations:60 ~width in
   let beach = Hlp_bus.Encoding.train_beach ~width train in
   Printf.printf "%-14s %12s %6s\n" "scheme" "trans/word" "lines";
@@ -1689,17 +1698,15 @@ let bus_encode trace width n seed =
       Printf.printf "%-14s %12.3f %6d\n"
         (Hlp_bus.Encoding.scheme_name scheme)
         r.Hlp_bus.Encoding.per_word r.Hlp_bus.Encoding.lines)
-    [ Hlp_bus.Encoding.Binary; Hlp_bus.Encoding.Gray_code; Hlp_bus.Encoding.Bus_invert;
-      Hlp_bus.Encoding.T0; Hlp_bus.Encoding.T0_bus_invert;
-      Hlp_bus.Encoding.Working_zone { zones = 4; offset_bits = 4 }; beach ];
+    (schemes @ [ beach ]);
   0
 
 let bus_cmd =
   let trace =
-    Arg.(value & opt (enum trace_enum) (List.assoc "sequential" trace_enum)
-         & info [ "trace" ] ~docv:"TRACE" ~doc:(enum_doc trace_enum))
+    Arg.(value & opt (name_enum traces) "sequential"
+         & info [ "trace" ] ~docv:"TRACE" ~doc:(enum_doc traces))
   in
-  let width = Arg.(value & opt int 16 & info [ "width" ] ~doc:"bus width") in
+  let width = Arg.(value & opt int 16 & info [ "width" ] ~doc:"bus width, 8..32 in steps of 4") in
   let n = Arg.(value & opt int 4000 & info [ "words" ] ~doc:"trace length") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"PRNG seed") in
   Cmd.v (Cmd.info "bus-encode" ~doc:"Compare bus encodings on a generated trace")
@@ -1731,7 +1738,7 @@ let pm_cmd =
 
 (* --- fsm-encode --- *)
 
-let machine_enum =
+let machines =
   [ ("counter", fun _ -> Hlp_fsm.Stg.counter_fsm ~bits:4);
     ("updown", fun _ -> Hlp_fsm.Stg.updown ~bits:4);
     ("reactive", fun _ -> Hlp_fsm.Stg.reactive ~wait_states:4 ~burst_states:4);
@@ -1742,7 +1749,7 @@ let machine_enum =
          ~output_bits:3) ]
 
 let fsm_encode machine iterations seed =
-  let stg = machine seed in
+  let stg = List.assoc machine machines seed in
   let dist = Hlp_fsm.Markov.analyze stg in
   let rng = Hlp_util.Prng.create seed in
   Printf.printf "%-10s %16s %18s\n" "encoding" "E[Hamming]/cycle" "synth cap/cycle";
@@ -1761,8 +1768,8 @@ let fsm_encode machine iterations seed =
 
 let fsm_cmd =
   let machine =
-    Arg.(value & opt (enum machine_enum) (List.assoc "random" machine_enum)
-         & info [ "machine" ] ~docv:"MACHINE" ~doc:(enum_doc machine_enum))
+    Arg.(value & opt (name_enum machines) "random"
+         & info [ "machine" ] ~docv:"MACHINE" ~doc:(enum_doc machines))
   in
   let iterations =
     Arg.(value & opt int 20_000 & info [ "iterations" ] ~doc:"annealing iterations")
@@ -1773,26 +1780,27 @@ let fsm_cmd =
 
 (* --- export --- *)
 
-let format_enum =
+let formats =
   [ ("verilog",
      fun name net -> print_string (Hlp_logic.Export.to_verilog ~module_name:name net));
     ("dot", fun _ net -> print_string (Hlp_logic.Export.to_dot ~max_nodes:2000 net)) ]
 
-let export (name, circuit) width format =
-  format name (circuit width);
+let export circuit width format =
+  with_typed_errors @@ fun () ->
+  Hlp_power.Service.check_width ~what:"--width" width;
+  (* the circuit's name doubles as the Verilog module name *)
+  List.assoc format formats circuit (List.assoc circuit circuits width);
   0
 
 let export_cmd =
   let circuit =
-    (* keep the circuit's name around for the Verilog module name *)
-    let named = List.map (fun (name, f) -> (name, (name, f))) circuit_enum in
-    Arg.(value & opt (enum named) (List.assoc "adder" named)
-         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
+    Arg.(value & opt (name_enum circuits) "adder"
+         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuits))
   in
-  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
+  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width, 1..24") in
   let format =
-    Arg.(value & opt (enum format_enum) (List.assoc "verilog" format_enum)
-         & info [ "format" ] ~docv:"FORMAT" ~doc:(enum_doc format_enum))
+    Arg.(value & opt (name_enum formats) "verilog"
+         & info [ "format" ] ~docv:"FORMAT" ~doc:(enum_doc formats))
   in
   Cmd.v (Cmd.info "export" ~doc:"Emit a generated circuit as Verilog or dot")
     Term.(const export $ circuit $ width $ format)

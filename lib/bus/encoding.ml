@@ -128,7 +128,6 @@ let t0_bus_invert_codec ~width =
   { enc; dec; lines = width + 2 }
 
 let working_zone_codec ~zones ~offset_bits ~width =
-  assert (zones >= 1 && offset_bits >= 1 && zones + offset_bits <= width);
   let mask = Bits.mask width in
   let half = 1 lsl (offset_bits - 1) in
   let hit_line = 1 lsl width in
@@ -219,14 +218,33 @@ let beach_codec (b : beach) =
   in
   { enc; dec; lines = b.width }
 
-let codec_of = function
-  | Binary -> binary_codec
-  | Gray_code -> gray_codec
-  | Bus_invert -> bus_invert_codec
-  | T0 -> t0_codec
-  | T0_bus_invert -> t0_bus_invert_codec
-  | Working_zone { zones; offset_bits } -> working_zone_codec ~zones ~offset_bits
-  | Beach b -> fun ~width -> assert (width = b.width); beach_codec b
+let check_width scheme ~width =
+  let bad why =
+    raise (Err.invalid_input ~what:(scheme_name scheme ^ " bus width") why)
+  in
+  (* every bus state, redundant lines included, goes through Bits.mask *)
+  let max_width = 62 - extra_lines scheme in
+  if width < 1 || width > max_width then
+    bad (Printf.sprintf "must be in 1..%d" max_width);
+  match scheme with
+  | Working_zone { zones; offset_bits }
+    when zones < 1 || offset_bits < 1 || zones + offset_bits > width ->
+      bad (Printf.sprintf "must be >= zones + offset_bits = %d" (zones + offset_bits))
+  | Beach b when width <> b.width ->
+      bad (Printf.sprintf "the code was trained for %d bits" b.width)
+  | _ -> ()
+
+let codec_of scheme ~width =
+  check_width scheme ~width;
+  match scheme with
+  | Binary -> binary_codec ~width
+  | Gray_code -> gray_codec ~width
+  | Bus_invert -> bus_invert_codec ~width
+  | T0 -> t0_codec ~width
+  | T0_bus_invert -> t0_bus_invert_codec ~width
+  | Working_zone { zones; offset_bits } ->
+      working_zone_codec ~zones ~offset_bits ~width
+  | Beach b -> beach_codec b
 
 (* Greedy/annealed recoding of one cluster: minimize
    sum counts(v, w) * hamming(code v, code w) over bijections. *)
@@ -259,9 +277,12 @@ let anneal_cluster rng nbits counts iterations =
   code
 
 let train_beach ?(clusters = 4) ~width trace =
-  assert (clusters >= 1 && width mod clusters = 0);
+  if clusters < 1 || width < 1 || width mod clusters <> 0 || width / clusters > 8
+  then
+    raise
+      (Err.invalid_input ~what:"beach bus width"
+         (Printf.sprintf "must be a multiple of %d clusters of 1..8 bits" clusters));
   let bits_per = width / clusters in
-  assert (bits_per <= 8);
   let groups =
     List.init clusters (fun g -> List.init bits_per (fun k -> (g * bits_per) + k))
   in
@@ -295,11 +316,11 @@ type result = {
 }
 
 let transmit scheme ~width stream =
-  let codec = (codec_of scheme) ~width in
+  let codec = codec_of scheme ~width in
   Array.map codec.enc stream
 
 let evaluate scheme ~width stream =
-  let codec = (codec_of scheme) ~width in
+  let codec = codec_of scheme ~width in
   let bus = Array.map codec.enc stream in
   let transitions = Bits.transitions ~width:codec.lines bus in
   {
@@ -311,7 +332,7 @@ let evaluate scheme ~width stream =
   }
 
 let roundtrip scheme ~width stream =
-  let codec = (codec_of scheme) ~width in
+  let codec = codec_of scheme ~width in
   Array.for_all
     (fun w -> codec.dec (codec.enc w) = w land Bits.mask width)
     stream

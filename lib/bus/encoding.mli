@@ -34,7 +34,16 @@ val train_beach : ?clusters:int -> width:int -> int array -> scheme
     and each cluster gets a one-to-one recoding minimizing the expected
     transitions between consecutive patterns of the training trace (the
     same hypercube-embedding machinery as low-power state encoding, as the
-    paper points out). *)
+    paper points out). Raises the typed [Invalid_input] unless [width] is
+    a positive multiple of [clusters] with at most 8 bits per cluster. *)
+
+val check_width : scheme -> width:int -> unit
+(** Raise the typed [Invalid_input] unless [scheme] can run on a
+    [width]-bit bus: [width >= 1]; at most 62 lines including the
+    redundant ones (every bus state goes through {!Hlp_util.Bits.mask});
+    Working-Zone needs [zones + offset_bits <= width]; a Beach code runs
+    only at the width it was trained for. {!evaluate}, {!transmit} and
+    {!roundtrip} check it first. *)
 
 type result = {
   transitions : int;  (** total line toggles on the (redundant) bus *)

@@ -15,6 +15,10 @@ let circuits =
     ("comparator", Generators.comparator_circuit);
     ("parity", Generators.parity_circuit) ]
 
+let check_width ~what width =
+  if width < 1 || width > 24 then
+    raise (Err.invalid_input ~what "must be in 1..24")
+
 (* input-word widths of each generator, for the macro-model dut *)
 let widths_of name w =
   match name with
@@ -299,7 +303,7 @@ let decode_circuit t obj =
           ^ ")")
   in
   let width = with_default 8 (opt_int obj "width") in
-  if width < 1 || width > 24 then bad "width" "must be in 1..24";
+  check_width ~what:"request width" width;
   let net =
     Netcache.find_or_compute t.netlists
       ~key:(Netcache.combine (Netcache.hash_string name) (Int64.of_int width))

@@ -144,6 +144,11 @@ val circuits : (string * (int -> Hlp_logic.Netlist.t)) list
 (** The servable generator circuits, by protocol name — the same zoo the
     CLI exposes. *)
 
+val check_width : what:string -> int -> unit
+(** Raise the typed [Invalid_input] (naming [what]) unless a circuit
+    width is in the servable range 1..24 — the one bound the daemon's
+    requests and the CLI's [--width] share. *)
+
 val prometheus_of_metrics : Hlp_util.Json.t -> string
 (** Render a [metrics] {e result object} as Prometheus text exposition:
     counters as [counter] metrics, cache fields as labelled

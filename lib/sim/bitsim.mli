@@ -17,9 +17,12 @@
 
     Lanes share nothing except the netlist: flip-flop state, input vectors,
     and toggle history are all per-lane. Sequential circuits work (all lanes
-    start from the same reset state); serial single-stream traces of
-    {e combinational} circuits can also be replayed bit-parallel by chunking
-    — see {!Parsim.replay}. *)
+    start from the same reset state).
+
+    This interpreter is the lane model's reference, not an engine: every
+    lane engine name runs the compiled {!Kernel}, which is checked against
+    [Bitsim] step for step ([test/test_kernel.ml]) and charges lanes
+    through {!scan_lanes} and {!pack_lanes} from this module. *)
 
 type s
 

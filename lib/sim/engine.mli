@@ -1,28 +1,26 @@
 (** Simulation-engine selector shared by every Monte Carlo / cosimulation
     consumer in the toolkit.
 
-    - [Scalar]: one {!Funcsim} step per cycle per vector — the reference
-      engine, bit-exact with the seed implementation.
-    - [Bitparallel]: {!Bitsim} packs 63 independent vectors into one OCaml
-      [int] per wire and evaluates each gate with single word-wide bitwise
-      operations; toggle accounting is exact (popcount of [old lxor new]).
-    - [Parallel]: the bit-parallel engine sharded over OCaml 5 domains by
-      {!Parsim}, with per-shard PRNG streams and a deterministic reduction
-      order, so results are bit-identical regardless of the worker count.
-    - [Compiled]: the netlist is first compiled by {!Kernel} into a flat
-      struct-of-arrays schedule (contiguous opcode / fanin-index /
-      capacitance arrays, topologically levelized, specialized per-level
-      closures, no per-gate dispatch or allocation) and replayed through
-      that kernel — bit-identical to [Bitparallel] on every counter and
-      float, several times faster, with the compile amortized across
-      replays by a fingerprint-keyed cache.
+    Four names, two implementations:
 
-    Rule of thumb: [Scalar] for debugging and tiny runs; [Bitparallel] for
-    long single-stream cosimulation (it wins as soon as a few hundred cycles
-    are simulated); [Parallel] for Monte Carlo style workloads with many
-    independent vectors on multicore hosts; [Compiled] whenever the same
-    netlist is replayed more than a handful of times — the estimation
-    service, batch campaigns, and recipe search all live in that regime. *)
+    - [Scalar]: one {!Funcsim} step per cycle per vector — the reference
+      oracle, bit-exact with the seed implementation.
+    - [Bitparallel] and [Compiled] (one engine under two names), and
+      [Parallel]: the lanes. {!Kernel} compiles the netlist once per
+      fingerprint into a flat struct-of-arrays schedule (levelized,
+      specialized per-level closures, no per-gate dispatch or allocation)
+      that packs 63 independent vectors into one OCaml [int] per wire;
+      toggle accounting is exact and bit-identical to the interpretive
+      {!Bitsim} reference. [Parallel] additionally shards the work over
+      OCaml 5 domains with {!Parsim.map}, with per-shard PRNG streams and a
+      deterministic reduction order, so results are bit-identical
+      regardless of the worker count.
+
+    Rule of thumb: [Scalar] for debugging and tiny runs; a lane engine for
+    anything longer (it wins as soon as a few hundred cycles are
+    simulated); [Parallel] for Monte Carlo style workloads on multicore
+    hosts. The names also differ in their degradation chains
+    ({!Parsim.degradation_chain}) and in the engine string echoed back. *)
 
 type t = Scalar | Bitparallel | Parallel | Compiled
 

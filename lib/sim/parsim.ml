@@ -168,7 +168,7 @@ let replay_scalar net ~vector ~n =
   in
   { out_words; transition_caps }
 
-(* --- bit-parallel chunk: 63 consecutive cycles per two Bitsim steps ---
+(* --- lane chunk: 63 consecutive cycles per two Kernel steps ---
 
    A combinational circuit's settled state depends only on the current
    vector, so a serial trace can be transposed: lane j of a chunk starting
@@ -176,46 +176,17 @@ let replay_scalar net ~vector ~n =
    off), then steps to vector lo+j+1 with per-lane accounting on. The
    per-lane switched capacitance of the counted step is exactly the
    capacitance the scalar simulator charges for the transition
-   lo+j -> lo+j+1. *)
+   lo+j -> lo+j+1.
 
-(* One chunk on an existing (combinational, track_lanes) simulator. The
-   warm-up settle is a pure function of the warm-up vectors, so the
-   simulator's prior state is irrelevant and one instance can be reused
+   The warm-up settle is a pure function of the warm-up vectors, so the
+   state's prior contents are irrelevant and one state can be reused
    across chunks — the result is bit-identical to a freshly created one. *)
-let replay_chunk_with sim ~vector ~n lo =
-  let count = min Bitsim.lanes (n - lo) in
-  Bitsim.set_counting sim false;
+let replay_chunk sim ~vector ~n lo =
+  let count = min Kernel.lanes (n - lo) in
+  Kernel.set_counting sim false;
   (* vectors lo .. lo+63 once: lane j of the counted step is lane j+1 of
      the warm-up step, so the counted words are a lane shift of the warm-up
      words plus vector lo+63 entering at the top lane *)
-  let vecs =
-    Array.init (Bitsim.lanes + 1) (fun j -> vector (min (lo + j) (n - 1)))
-  in
-  let warm = Bitsim.pack_lanes (Array.sub vecs 0 Bitsim.lanes) in
-  Bitsim.step sim warm;
-  let outs = Array.sub (Bitsim.output_words sim) 0 count in
-  let last = vecs.(Bitsim.lanes) in
-  let next =
-    Array.mapi
-      (fun k w -> (w lsr 1) lor (if last.(k) then 1 lsl (Bitsim.lanes - 1) else 0))
-      warm
-  in
-  Bitsim.reset_counters sim;
-  Bitsim.set_counting sim true;
-  Bitsim.step sim next;
-  let lane_caps = Bitsim.lane_switched_capacitance sim in
-  let ntrans = min count (n - 1 - lo) in
-  (outs, Array.sub lane_caps 0 (max 0 ntrans))
-
-let replay_chunk net ~caps ~vector ~n lo =
-  replay_chunk_with (Bitsim.create ~caps ~track_lanes:true net) ~vector ~n lo
-
-(* Same chunk transposition through the compiled kernel. The accounting
-   contract ({!Kernel}) makes the per-lane floats bit-identical to
-   [replay_chunk_with], so the two bodies must stay in lockstep. *)
-let kernel_chunk_with sim ~vector ~n lo =
-  let count = min Kernel.lanes (n - lo) in
-  Kernel.set_counting sim false;
   let vecs =
     Array.init (Kernel.lanes + 1) (fun j -> vector (min (lo + j) (n - 1)))
   in
@@ -256,37 +227,29 @@ let replay ?jobs ?max_retries ~engine net ~vector ~n =
         invalid_arg
           "Parsim.replay: bit-parallel trace replay requires a combinational \
            netlist (sequential state cannot be chunked)";
-      let nchunks = (n + Bitsim.lanes - 1) / Bitsim.lanes in
+      let nchunks = (n + Kernel.lanes - 1) / Kernel.lanes in
       Hlp_util.Telemetry.add tel_chunks nchunks;
-      let chunks =
+      (* compile once (fingerprint-cached); the plan is immutable and
+         shared by every chunk state *)
+      let plan = Kernel.of_netlist net in
+      let jobs =
         match engine with
-        | Engine.Compiled ->
-            (* compile once (fingerprint-cached), reuse one kernel state
-               across all chunks — the warm-up settle erases prior state *)
-            let sim = Kernel.create ~track_lanes:true (Kernel.of_netlist net) in
-            Array.init nchunks (fun c ->
-                kernel_chunk_with sim ~vector ~n (c * Kernel.lanes))
-        | _ ->
-            let jobs =
-              match engine with
-              | Engine.Parallel -> (
-                  match jobs with Some j -> max 1 j | None -> default_jobs ())
-              | _ -> 1
-            in
-            (* one capacitance table, shared read-only by every chunk
-               simulator *)
-            let caps = Netlist.node_capacitance net in
-            if jobs <= 1 then begin
-              (* sequential: one simulator reused across all chunks (the
-                 warm-up settle erases prior state), bit-identical to the
-                 per-chunk-create parallel path *)
-              let sim = Bitsim.create ~caps ~track_lanes:true net in
-              Array.init nchunks (fun c ->
-                  replay_chunk_with sim ~vector ~n (c * Bitsim.lanes))
-            end
-            else
-              map ~jobs ?max_retries nchunks (fun c ->
-                  replay_chunk net ~caps ~vector ~n (c * Bitsim.lanes))
+        | Engine.Parallel -> (
+            match jobs with Some j -> max 1 j | None -> default_jobs ())
+        | _ -> 1
+      in
+      let chunks =
+        if jobs <= 1 then begin
+          let sim = Kernel.create ~track_lanes:true plan in
+          Array.init nchunks (fun c ->
+              replay_chunk sim ~vector ~n (c * Kernel.lanes))
+        end
+        else
+          (* one state per chunk: shards run concurrently *)
+          map ~jobs ?max_retries nchunks (fun c ->
+              replay_chunk
+                (Kernel.create ~track_lanes:true plan)
+                ~vector ~n (c * Kernel.lanes))
       in
       let out_words = Array.concat (Array.to_list (Array.map fst chunks)) in
       let transition_caps = Array.concat (Array.to_list (Array.map snd chunks)) in
@@ -296,10 +259,12 @@ let replay ?jobs ?max_retries ~engine net ~vector ~n =
 
 (* --- engine degradation chain --- *)
 
+(* [Compiled] and [Bitparallel] run the same lanes, so retrying one as the
+   other would re-run identical code: both fall straight back to the scalar
+   oracle. [Parallel] first drops its domains. *)
 let degradation_chain = function
-  | Engine.Compiled -> [ Engine.Compiled; Engine.Bitparallel; Engine.Scalar ]
   | Engine.Parallel -> [ Engine.Parallel; Engine.Bitparallel; Engine.Scalar ]
-  | Engine.Bitparallel -> [ Engine.Bitparallel; Engine.Scalar ]
+  | (Engine.Bitparallel | Engine.Compiled) as e -> [ e; Engine.Scalar ]
   | Engine.Scalar -> [ Engine.Scalar ]
 
 (* Guard trips and input errors must propagate: degrading an estimate past
@@ -384,23 +349,7 @@ type mc = {
 (* Each unit is an independent 63-lane batch whose PRNG stream depends only
    on (seed, unit index) — never on the worker that ran it — which is what
    makes the parallel reduction deterministic in the number of domains. *)
-let mc_unit net ~caps ~batch ~seed u =
-  let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
-  let nin = Array.length net.Netlist.inputs in
-  let sim = Bitsim.create ~caps net in
-  for _ = 1 to batch do
-    let words = Array.make nin 0 in
-    for k = 0 to nin - 1 do
-      words.(k) <- Int64.to_int (Hlp_util.Prng.bits64 rng)
-    done;
-    Bitsim.step sim words
-  done;
-  Bitsim.switched_capacitance sim /. float_of_int (batch * Bitsim.lanes)
-
-(* The compiled twin of [mc_unit]: identical PRNG stream, identical word
-   sequence, and (by the kernel's accounting contract) identical integer
-   toggle counts, so the returned mean has the same float bits. *)
-let mc_unit_kernel plan ~nin ~batch ~seed u =
+let mc_unit plan ~nin ~batch ~seed u =
   let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
   let sim = Kernel.create plan in
   for _ = 1 to batch do
@@ -419,16 +368,9 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
      decisions (and therefore the estimate) do not depend on ~jobs *)
   let round = match (engine : Engine.t) with Engine.Parallel -> 8 | _ -> 1 in
   let jobs = match engine with Engine.Parallel -> jobs | _ -> Some 1 in
-  let unit_of =
-    match (engine : Engine.t) with
-    | Engine.Compiled ->
-        let plan = Kernel.of_netlist net in
-        let nin = Array.length net.Netlist.inputs in
-        fun u -> mc_unit_kernel plan ~nin ~batch ~seed u
-    | _ ->
-        let caps = Netlist.node_capacitance net in
-        fun u -> mc_unit net ~caps ~batch ~seed u
-  in
+  let plan = Kernel.of_netlist net in
+  let nin = Array.length net.Netlist.inputs in
+  let unit_of u = mc_unit plan ~nin ~batch ~seed u in
   let rec go acc nunits =
     let fresh =
       Hlp_util.Trace.span
@@ -446,7 +388,7 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
     let acc = acc @ Array.to_list fresh in
     let nunits = nunits + round in
     let means = Array.of_list acc in
-    let cycles = nunits * batch * Bitsim.lanes in
+    let cycles = nunits * batch * Kernel.lanes in
     if stop ~means ~cycles then
       { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
     else go acc nunits
@@ -463,7 +405,7 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
   in
   let nunits0 = List.length resumed in
   let means0 = Array.of_list resumed in
-  let cycles0 = nunits0 * batch * Bitsim.lanes in
+  let cycles0 = nunits0 * batch * Kernel.lanes in
   (* entry stop-check: the previous run may have crashed after the stop
      rule fired but before its final snapshot landed *)
   if nunits0 > 0 && stop ~means:means0 ~cycles:cycles0 then

@@ -1,4 +1,4 @@
-(** Multicore driver for the bit-parallel simulator.
+(** Multicore runner for the lane simulator ({!Kernel}).
 
     [Parsim] shards independent simulation work across OCaml 5 domains. The
     determinism contract, relied on by every consumer: {e results depend
@@ -59,28 +59,26 @@ val replay :
     return per-cycle outputs plus per-transition switched capacitance (the
     quantities the sampling cosimulator consumes).
 
-    [Scalar] runs one {!Funcsim} step per cycle. [Bitparallel] transposes
-    the trace into chunks of 63 consecutive cycles, two {!Bitsim} steps per
-    chunk (one uncounted warm-up settle, one counted transition), which is
-    exact for combinational netlists because the settled state depends only
-    on the current vector. [Parallel] additionally spreads the chunks over
-    domains with {!map} ([max_retries] as in {!map}). [Compiled] runs the
-    same chunk protocol through the {!Kernel} struct-of-arrays schedule
-    (compiled once per fingerprint, one state reused across chunks) and is
-    bit-identical to [Bitparallel] on every output word and per-transition
-    float. Bit-parallel engines raise [Invalid_argument] on netlists with
-    flip-flops (sequential state cannot be chunked); [n < 1] raises the
-    typed [Invalid_input]. Toggle counts are integer-exact across engines;
-    the per-transition floats can differ from [Scalar] only by
-    summation-order round-off. *)
+    [Scalar] runs one {!Funcsim} step per cycle. The lane engines
+    ([Bitparallel], [Compiled], [Parallel]) transpose the trace into
+    chunks of 63 consecutive cycles, two {!Kernel} steps per chunk (one
+    uncounted warm-up settle, one counted transition) over one plan
+    compiled per fingerprint — exact for combinational netlists because the
+    settled state depends only on the current vector. [Parallel] shards the
+    chunks over domains with {!map} (one state per chunk, [max_retries] as
+    in {!map}) and returns the same bits. Lane engines raise
+    [Invalid_argument] on netlists with flip-flops (sequential state cannot
+    be chunked); [n < 1] raises the typed [Invalid_input]. Output words are
+    exact across engines; the per-transition floats can differ from
+    [Scalar] only by summation-order round-off. *)
 
 (** {1 Engine degradation} *)
 
 val degradation_chain : Engine.t -> Engine.t list
 (** The fallback order {!with_degradation} walks, starting at the given
-    engine: [Compiled -> Bitparallel -> Scalar],
-    [Parallel -> Bitparallel -> Scalar], [Bitparallel -> Scalar],
-    [Scalar] alone. Exposed for tests and capacity planning. *)
+    engine: [Parallel -> Bitparallel -> Scalar] (drop the domains, then
+    the lanes), [Compiled -> Scalar], [Bitparallel -> Scalar], [Scalar]
+    alone. Exposed for tests and capacity planning. *)
 
 type 'a degraded = {
   value : 'a;
@@ -107,13 +105,13 @@ val replay_guarded :
   vector:(int -> bool array) ->
   n:int ->
   (replay degraded, Hlp_util.Err.t) result
-(** {!replay} behind the degradation chain
-    [Parallel -> Bitparallel -> Scalar] (starting at [engine]): if an
+(** {!replay} behind the degradation chain ({!degradation_chain},
+    starting at [engine]): if an
     engine fails — a worker failure that survived its retries, an injected
     fault, or an engine-capability mismatch such as a sequential netlist
     on a bit engine — the next, more conservative engine is tried, with
-    each hop counted in ["parsim.engine_fallbacks"]. [Parallel] and
-    [Bitparallel] are bit-identical, and [Scalar] differs only by
+    each hop counted in ["parsim.engine_fallbacks"]. The lane engines are
+    bit-identical to each other, and [Scalar] differs only by
     summation round-off, so degradation never changes the answer beyond
     float noise. Guard trips ([Deadline_exceeded]/[Cancelled]) and
     [Invalid_input] propagate immediately — degrading past a deadline
@@ -141,15 +139,13 @@ val monte_carlo_units :
   stop:(means:float array -> cycles:int -> bool) ->
   mc
 (** Evaluate independent Monte Carlo {e units} — each a fresh 63-lane
-    {!Bitsim} run of [batch] steps under uniform random inputs from a PRNG
-    stream determined by [(seed, unit index)] — until [stop] says so.
-    [stop] is consulted on unit-index boundaries that do not depend on
-    [jobs] (after every unit for [Bitparallel] and [Compiled], after every
-    fixed-size round of 8 units for [Parallel]), so the returned estimate
-    is bit-identical for any number of domains. Under [Compiled] each unit
-    replays a fresh {!Kernel} state of the once-compiled plan with the
-    identical PRNG stream, so unit means (and therefore checkpoints)
-    carry the same bits as [Bitparallel].
+    {!Kernel} state of the once-compiled plan, stepped [batch] times under
+    uniform random inputs from a PRNG stream determined by
+    [(seed, unit index)] — until [stop] says so. [stop] is consulted on
+    unit-index boundaries that do not depend on [jobs] (after every unit,
+    or after every fixed-size round of 8 units for [Parallel]), so the
+    returned estimate is bit-identical for any number of domains, and unit
+    means (hence checkpoints) carry the same bits under every engine name.
 
     Checkpoint hooks: [resume_means] seeds the run with per-unit means a
     journal recovered — truncated to a whole number of rounds so the

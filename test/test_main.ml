@@ -29,4 +29,5 @@ let () =
       ("observability", Test_observability.suite);
       ("flight", Test_flight.suite);
       ("lifecycle", Test_lifecycle.suite);
+      ("cli", Test_cli.suite);
     ]

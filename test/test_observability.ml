@@ -436,7 +436,17 @@ let test_injected_clock_telemetry () =
   Alcotest.(check int) "one timed call" 1 calls;
   (* start read 100.0, finish read 102.5: exactly the injected step *)
   Alcotest.(check (float 1e-9)) "duration is the injected delta" 2.5 secs;
-  Alcotest.(check bool) "real clock restored" true (Clock.now_s () > 1.0e3)
+  (* restored: now_s reads the monotonic clock again, sandwiched between
+     two raw readings, and never consults the fake (whose next value would
+     have been 105.0) *)
+  let mono_s () = Int64.to_float (Clock.monotonic_ns ()) *. 1e-9 in
+  let fake_next = !t in
+  let before = mono_s () in
+  let now = Clock.now_s () in
+  let after = mono_s () in
+  Alcotest.(check bool) "real clock restored" true
+    (before -. 1e-6 <= now && now <= after +. 1e-6);
+  Alcotest.(check (float 0.0)) "fake no longer read" fake_next !t
 
 let test_injected_clock_guard () =
   let t = ref 50.0 in
