@@ -162,12 +162,14 @@ let herd ~clients:n =
       let misses0 = count "server.estimates.cache_misses" in
       let coalesced0 = count "server.estimates.coalesced" in
       (* a deliberately slow key: the tight node budget trips the
-         symbolic stage into a real Monte Carlo campaign, so the compute
-         window is wide open when the herd lands *)
+         symbolic stage into a real Monte Carlo campaign, and a precision
+         no campaign reaches runs it to its 200k-cycle cap (about 20 ms
+         on a 2-core x86-64 host), so the compute window is wide open
+         when the herd lands however fast each simulated cycle is *)
       let req id =
         Hlp_power.Service.estimate_request ~id ~engine:"bitparallel" ~seed:47
-          ~relative_precision:0.002 ~node_limit:60 ~circuit:"multiplier"
-          ~width:8 ()
+          ~relative_precision:0.0005 ~max_cycles:200_000 ~node_limit:60
+          ~circuit:"multiplier" ~width:8 ()
       in
       let arrived = Atomic.make 0 in
       let run_client c () =

@@ -21,8 +21,9 @@
 
     This interpreter is the lane model's reference, not an engine: every
     lane engine name runs the compiled {!Kernel}, which is checked against
-    [Bitsim] step for step ([test/test_kernel.ml]) and charges lanes
-    through {!scan_lanes} and {!pack_lanes} from this module. *)
+    [Bitsim] step for step ([test/test_kernel.ml]) and uses {!pack_lanes}
+    and, for capacitance tables its lane-major path does not cover,
+    {!scan_lanes} from this module. *)
 
 type s
 
@@ -87,5 +88,5 @@ val scan_lanes : float array -> float -> int -> unit
     [j] of [delta] — the per-lane capacitance accounting primitive (a
     256-entry byte table keeps it cheap). Within one node each lane
     receives at most one addition, so any visit order gives bit-identical
-    per-lane sums; shared with {!Kernel} so both engines charge lanes
-    through literally the same code. *)
+    per-lane sums. {!Kernel} charges lanes through it too when a
+    capacitance is negative or not finite. *)

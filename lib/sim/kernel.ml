@@ -19,9 +19,9 @@ open Hlp_logic
      built once at compile time: per step the kernel makes one indirect
      call per segment instead of one dispatch per gate, and allocates
      nothing;
-   - every array access in the closures and in the accounting pass is
-     [unsafe_get]/[unsafe_set], justified by a single construction-time
-     bounds proof ({!verify}): compilation fails loudly if any slot,
+   - every array access in the closures and in the accounting pass
+     (the C stubs included) is unchecked, justified by a single
+     construction-time bounds proof ({!verify}): compilation fails loudly if any slot,
      pin, or level violates its range or ordering invariant, and the
      arrays are never mutated afterwards.
 
@@ -32,7 +32,11 @@ open Hlp_logic
    Bitsim's chronological charge order exactly — registers in
    declaration order, then inputs, then combinational nodes in id order
    ([acct_order]) — because float addition is non-associative and the
-   levelized evaluation order must not leak into the sums. *)
+   levelized evaluation order must not leak into the sums.
+
+   A replay state is cheap to recycle: the plan keeps the settled reset
+   words, so {!create} is plain copies and {!reset} blits them back —
+   Monte Carlo campaigns run every unit of a worker on one state. *)
 
 let lanes = Bitsim.lanes
 let all_ones = -1
@@ -97,6 +101,21 @@ external accumulate_lanes :
   = "hlp_kernel_accumulate_lanes"
   [@@noalloc]
 
+(* The counted step's one accounting pass (kernel_stubs.c): walking
+   [order], write each node's delta word, add its popcount to the node's
+   toggle counter and the popcount of its new word to its high counter,
+   and return how many deltas were nonzero. Hardware popcount when the CPU
+   has it (checked at run time), a portable SWAR popcount otherwise or
+   when [portable] asks for it. The stub indexes without bounds checks:
+   [order] must be a permutation of [0, n) and every other array must
+   have length [n] — the plan's bounds proof for the step, checked
+   explicitly in {!account_pass}. *)
+external account :
+  int array -> int array -> int array -> int array -> int array -> int array ->
+  bool -> int
+  = "hlp_kernel_account_byte" "hlp_kernel_account"
+  [@@noalloc]
+
 type t = {
   net : Netlist.t;
   caps : float array;
@@ -125,8 +144,10 @@ type t = {
   dff_dst : int array;  (* register node ids, declaration order *)
   dff_src : int array;  (* data-pin node id per register *)
   input_ids : int array;
-  const_init : (int * int) array;  (* (node id, broadcast word) *)
-  dff_init_words : int array;  (* broadcast init per register *)
+  reset_words : int array;
+      (* settled word per node in the reset condition: registers at their
+         broadcast init, constants fixed, the schedule settled once at
+         compile time (after {!verify}) *)
 }
 
 (* --- the per-segment specialized closures --- *)
@@ -314,7 +335,6 @@ let verify p =
       if seen.(i) then fail "Kernel.verify: node %d accounted twice" i;
       seen.(i) <- true)
     p.acct_order;
-  Array.iter (fun (i, _) -> check_id "const" i) p.const_init;
   Array.iter (fun i -> check_id "dff_dst" i) p.dff_dst;
   Array.iter (fun i -> check_id "dff_src" i) p.dff_src;
   Array.iter (fun i -> check_id "input" i) p.input_ids
@@ -460,13 +480,6 @@ let compile ?caps net =
     Array.concat
       [ net.Netlist.dffs; net.Netlist.inputs; Array.of_list !rest ]
   in
-  let const_init = ref [] in
-  Array.iteri
-    (fun i (node : Netlist.node) ->
-      match node.Netlist.kind with
-      | Gate.Const b -> const_init := (i, broadcast b) :: !const_init
-      | _ -> ())
-    nodes;
   let p =
     {
       net;
@@ -494,13 +507,24 @@ let compile ?caps net =
           (fun w -> nodes.(w).Netlist.fanin.(0))
           net.Netlist.dffs;
       input_ids = net.Netlist.inputs;
-      const_init = Array.of_list (List.rev !const_init);
-      dff_init_words =
-        Array.map broadcast net.Netlist.dff_init;
+      reset_words = [||];
     }
   in
   verify p;
-  p
+  (* settle the reset state through the proven schedule, once per plan;
+     nothing is charged for power-up, same as the interpreters *)
+  let reset_words = Array.make n 0 in
+  Array.iteri
+    (fun j w -> reset_words.(w) <- broadcast net.Netlist.dff_init.(j))
+    p.dff_dst;
+  Array.iteri
+    (fun i (node : Netlist.node) ->
+      match node.Netlist.kind with
+      | Gate.Const b -> reset_words.(i) <- broadcast b
+      | _ -> ())
+    nodes;
+  Array.iter (fun pass -> pass reset_words) p.passes;
+  { p with reset_words }
 
 (* --- fingerprint-keyed kernel cache ---
 
@@ -536,7 +560,6 @@ type s = {
   highs : int array;
   lane_switched : float array;
   track_lanes : bool;
-  mutable pops : int;
   mutable ncycles : int;
   mutable counting : bool;
   mutable first : bool;  (* reset state must survive until the first input *)
@@ -544,28 +567,48 @@ type s = {
 
 let create ?(track_lanes = false) plan =
   let n = plan.n in
-  let cur = Array.make n 0 in
-  Array.iteri
-    (fun j w -> cur.(w) <- plan.dff_init_words.(j))
-    plan.dff_dst;
-  Array.iter (fun (i, w) -> cur.(i) <- w) plan.const_init;
-  (* settle the reset state through the compiled schedule; nothing is
-     charged for power-up, same as the interpreters *)
-  Array.iter (fun pass -> pass cur) plan.passes;
   {
     plan;
-    cur;
-    prv = Array.copy cur;
+    cur = Array.copy plan.reset_words;
+    prv = Array.copy plan.reset_words;
     deltas = Array.make n 0;
     toggles = Array.make n 0;
     highs = Array.make n 0;
     lane_switched = Array.make lanes 0.0;
     track_lanes;
-    pops = 0;
     ncycles = 0;
     counting = true;
     first = true;
   }
+
+(* Plain loops, not [Array.fill]/[Array.blit]: those runtime primitives
+   cannot tell an [int array] from a boxed one and, on arrays in the major
+   heap (any node-length array past 256 words), pay a write-barrier check
+   per element — several times the cost of these stores. Every state array
+   has length [plan.n], so the unsafe accesses stay in range. *)
+let reset_counters s =
+  let toggles = s.toggles and highs = s.highs in
+  for i = 0 to s.plan.n - 1 do
+    Array.unsafe_set toggles i 0;
+    Array.unsafe_set highs i 0
+  done;
+  Array.fill s.lane_switched 0 lanes 0.0;
+  s.ncycles <- 0
+
+(* back to exactly the state [create] returns: both buffers hold the
+   settled reset words (constants included), counters zero, counting on,
+   the first edge re-captures the reset state. [deltas] is scratch that
+   every counted step overwrites before reading. *)
+let reset s =
+  let r = s.plan.reset_words and cur = s.cur and prv = s.prv in
+  for i = 0 to s.plan.n - 1 do
+    let w = Array.unsafe_get r i in
+    Array.unsafe_set cur i w;
+    Array.unsafe_set prv i w
+  done;
+  reset_counters s;
+  s.counting <- true;
+  s.first <- true
 
 let step s inputs =
   let p = s.plan in
@@ -602,48 +645,31 @@ let step s inputs =
   for q = 0 to Array.length passes - 1 do
     (Array.unsafe_get passes q) nw
   done;
-  if s.counting then begin
-    (* delta accounting in Bitsim's chronological charge order, so the
-       per-lane float sums are bit-identical to the interpreter's *)
-    let order = p.acct_order and toggles = s.toggles in
-    if s.track_lanes && p.lanes_fast then begin
-      (* record the delta words densely, then charge lanes lane-major
-         (bit-identical to the scatter walk, see [accumulate_lanes]) *)
-      let deltas = s.deltas in
-      for k = 0 to Array.length order - 1 do
-        let i = Array.unsafe_get order k in
-        let d = Array.unsafe_get old i lxor Array.unsafe_get nw i in
-        Array.unsafe_set deltas k d;
-        if d <> 0 then begin
-          Array.unsafe_set toggles i
-            (Array.unsafe_get toggles i + Hlp_util.Bits.popcount d);
-          s.pops <- s.pops + 1
-        end
-      done;
-      accumulate_lanes s.lane_switched deltas p.caps_acct p.n
-    end
+  (* popcounts: one per nonzero delta, one per high count *)
+  let pops =
+    if not s.counting then 0
     else begin
-      let caps = p.caps in
-      for k = 0 to Array.length order - 1 do
-        let i = Array.unsafe_get order k in
-        let d = Array.unsafe_get old i lxor Array.unsafe_get nw i in
-        if d <> 0 then begin
-          Array.unsafe_set toggles i
-            (Array.unsafe_get toggles i + Hlp_util.Bits.popcount d);
-          s.pops <- s.pops + 1;
-          if s.track_lanes then
-            Bitsim.scan_lanes s.lane_switched (Array.unsafe_get caps i) d
+      (* delta accounting in Bitsim's chronological charge order, so the
+         per-lane float sums are bit-identical to the interpreter's *)
+      let deltas = s.deltas in
+      let nz = account p.acct_order old nw deltas s.toggles s.highs false in
+      if s.track_lanes then begin
+        if p.lanes_fast then
+          (* lane-major, bit-identical to the scatter walk (see
+             [accumulate_lanes]) *)
+          accumulate_lanes s.lane_switched deltas p.caps_acct p.n
+        else begin
+          let caps = p.caps_acct in
+          for k = 0 to p.n - 1 do
+            let d = Array.unsafe_get deltas k in
+            if d <> 0 then
+              Bitsim.scan_lanes s.lane_switched (Array.unsafe_get caps k) d
+          done
         end
-      done
-    end;
-    let highs = s.highs in
-    for i = 0 to p.n - 1 do
-      Array.unsafe_set highs i
-        (Array.unsafe_get highs i
-        + Hlp_util.Bits.popcount (Array.unsafe_get nw i))
-    done;
-    s.pops <- s.pops + p.n
-  end;
+      end;
+      nz + p.n
+    end
+  in
   s.cur <- nw;
   s.prv <- old;
   s.ncycles <- s.ncycles + 1;
@@ -651,9 +677,24 @@ let step s inputs =
     Hlp_util.Telemetry.incr tel_steps;
     Hlp_util.Telemetry.add tel_lane_cycles lanes;
     Hlp_util.Telemetry.add tel_evals p.nslots;
-    Hlp_util.Telemetry.add tel_popcounts s.pops
-  end;
-  s.pops <- 0
+    Hlp_util.Telemetry.add tel_popcounts pops
+  end
+
+let account_pass ?(portable = false) order ~old ~nw ~deltas ~toggles ~highs =
+  let n = Array.length order in
+  List.iter
+    (fun a ->
+      if Array.length a <> n then
+        invalid_arg "Kernel.account_pass: array length differs from order")
+    [ old; nw; deltas; toggles; highs ];
+  let seen = Array.make n false in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= n || seen.(i) then
+        invalid_arg "Kernel.account_pass: order is not a permutation";
+      seen.(i) <- true)
+    order;
+  account order old nw deltas toggles highs portable
 
 let step_scalar s inputs =
   step s (Array.map (fun b -> if b then 1 else 0) inputs)
@@ -667,11 +708,13 @@ let plan s = s.plan
 
 let switched_capacitance s =
   (* same formula, same iteration order as Bitsim: derived from the exact
-     integer toggle counts, independent of evaluation order *)
+     integer toggle counts, independent of evaluation order. A plain loop
+     over a local ref keeps the partial sum unboxed. *)
+  let caps = s.plan.caps and toggles = s.toggles in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i t -> acc := !acc +. (s.plan.caps.(i) *. float_of_int t))
-    s.toggles;
+  for i = 0 to Array.length toggles - 1 do
+    acc := !acc +. (caps.(i) *. float_of_int toggles.(i))
+  done;
   !acc
 
 let lane_switched_capacitance s =
@@ -680,12 +723,6 @@ let lane_switched_capacitance s =
   Array.copy s.lane_switched
 
 let set_counting s b = s.counting <- b
-
-let reset_counters s =
-  Array.fill s.toggles 0 (Array.length s.toggles) 0;
-  Array.fill s.highs 0 (Array.length s.highs) 0;
-  Array.fill s.lane_switched 0 lanes 0.0;
-  s.ncycles <- 0
 
 let output_words s =
   let outs = s.plan.net.Netlist.outputs in

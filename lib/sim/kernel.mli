@@ -36,8 +36,22 @@
     are not (float addition is non-associative), so the kernel defers
     accounting to a per-step delta pass that replays Bitsim's
     chronological charge order — registers in declaration order, then
-    primary inputs, then remaining nodes in id order — and charges lanes
-    through literally the same {!Bitsim.scan_lanes} code path.
+    primary inputs, then remaining nodes in id order.
+
+    {b Accounting} is two C primitives ([kernel_stubs.c]). One pass walks
+    that order once, writing each node's delta word and adding hardware
+    popcounts (runtime-dispatched, with a portable fallback; see
+    {!account_pass}) of the delta and of the new word to the node's
+    toggle and high counters. Lanes are then charged from the recorded
+    deltas: lane-major with register accumulators when every capacitance
+    is finite and non-negative, which is bit-identical to the ordered
+    scatter walk, and otherwise by {!Bitsim.scan_lanes} over the deltas
+    in the same order.
+
+    {b Recycling}: the plan holds the settled reset words, so {!create}
+    is plain copies and {!reset} returns a used state to the reset
+    condition in place — a Monte Carlo worker runs all its units on one
+    state.
 
     A fingerprint-keyed bounded cache ({!of_netlist}) amortizes
     compilation across the replay-many consumers (Monte Carlo campaigns,
@@ -81,8 +95,17 @@ val lanes : int
 
 val create : ?track_lanes:bool -> t -> s
 (** Fresh replay state in the settled reset condition (registers at
-    their init values, nothing charged), evaluated through the compiled
-    schedule itself. [track_lanes] as in {!Bitsim.create}. *)
+    their init values, nothing charged). The plan settles the reset
+    words once, through its own compiled schedule, so creating a state
+    is plain array copies. [track_lanes] as in {!Bitsim.create}. *)
+
+val reset : s -> unit
+(** Return a state to exactly what {!create} returned for its plan and
+    [track_lanes]: reset words blitted back into both buffers, every
+    counter and lane sum zeroed, counting on, and the next step's clock
+    edge re-capturing the reset state. Lets a worker replay any number
+    of independent runs on one state; the runs are bit-identical to
+    runs on fresh states. *)
 
 val step : s -> int array -> unit
 (** Advance one cycle: latch registers, drive one word per primary input
@@ -114,10 +137,34 @@ val switched_capacitance : s -> float
 val lane_switched_capacitance : s -> float array
 val output_words : s -> int array
 val set_counting : s -> bool -> unit
+
 val reset_counters : s -> unit
+(** Zero the counters, lane sums and cycle count; circuit state is kept. *)
 
 val plan : s -> t
 (** The plan this state replays. *)
+
+(** {1 The accounting pass} *)
+
+val account_pass :
+  ?portable:bool ->
+  int array ->
+  old:int array ->
+  nw:int array ->
+  deltas:int array ->
+  toggles:int array ->
+  highs:int array ->
+  int
+(** [account_pass order ~old ~nw ~deltas ~toggles ~highs] runs the
+    counted step's accounting pass on explicit arrays: for each [k] and
+    [i = order.(k)] it writes [deltas.(k) <- old.(i) lxor nw.(i)], adds
+    the delta's popcount to [toggles.(i)] and the popcount of [nw.(i)]
+    to [highs.(i)], and returns the number of nonzero deltas (a step
+    adds that plus the node count to ["kernel.popcount_ops"]). Hardware
+    popcount where the CPU has it; [portable] (default [false]) forces
+    the portable path every other machine takes. Unlike the step, this
+    entry checks its bounds: [Invalid_argument] unless [order] is a
+    permutation of [0, n) and every other array has length [n]. *)
 
 (** {1 Plan inspection} — compile-time structure for tests, benches, and
     the design docs. *)

@@ -348,13 +348,13 @@ type mc = {
 
 (* Each unit is an independent 63-lane batch whose PRNG stream depends only
    on (seed, unit index) — never on the worker that ran it — which is what
-   makes the parallel reduction deterministic in the number of domains. *)
-let mc_unit plan ~nin ~batch ~seed u =
+   makes the parallel reduction deterministic in the number of domains.
+   [sim] is in the reset condition (fresh or {!Kernel.reset}); [words] is
+   the input buffer, refilled every step. *)
+let mc_unit sim words ~batch ~seed u =
   let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
-  let sim = Kernel.create plan in
   for _ = 1 to batch do
-    let words = Array.make nin 0 in
-    for k = 0 to nin - 1 do
+    for k = 0 to Array.length words - 1 do
       words.(k) <- Int64.to_int (Hlp_util.Prng.bits64 rng)
     done;
     Kernel.step sim words
@@ -370,8 +370,45 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
   let jobs = match engine with Engine.Parallel -> jobs | _ -> Some 1 in
   let plan = Kernel.of_netlist net in
   let nin = Array.length net.Netlist.inputs in
-  let unit_of u = mc_unit plan ~nin ~batch ~seed u in
-  let rec go acc nunits =
+  let unit_of =
+    match engine with
+    | Engine.Parallel ->
+        (* units of a round run concurrently: one state per unit *)
+        fun u -> mc_unit (Kernel.create plan) (Array.make nin 0) ~batch ~seed u
+    | _ ->
+        (* one worker, the calling domain: every unit (and every retry of
+           a unit that raised mid-step) reuses one reset state *)
+        let sim = Kernel.create plan and words = Array.make nin 0 in
+        fun u ->
+          Kernel.reset sim;
+          mc_unit sim words ~batch ~seed u
+  in
+  let resumed =
+    match resume_means with
+    | None -> [||]
+    | Some ms ->
+        (* keep only whole rounds so stop-rule evaluation points line up
+           with the unit-index boundaries a fresh run would have used —
+           the price of a crash mid-round is re-running that round *)
+        Array.sub ms 0 (Array.length ms / round * round)
+  in
+  (* unit means so far, in unit order: a growable buffer holding [!len],
+     seeded with the resumed prefix *)
+  let buf = ref resumed and len = ref (Array.length resumed) in
+  let push m =
+    if !len = Array.length !buf then begin
+      let b = Array.make (max 16 (2 * !len)) 0.0 in
+      Array.blit !buf 0 b 0 !len;
+      buf := b
+    end;
+    !buf.(!len) <- m;
+    incr len
+  in
+  let finish means cycles =
+    { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
+  in
+  let rec go () =
+    let nunits = !len in
     let fresh =
       Hlp_util.Trace.span
         ~args:(fun () ->
@@ -385,29 +422,15 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
     (match on_unit with
     | None -> ()
     | Some f -> Array.iteri (fun r m -> f (nunits + r) m) fresh);
-    let acc = acc @ Array.to_list fresh in
-    let nunits = nunits + round in
-    let means = Array.of_list acc in
-    let cycles = nunits * batch * Kernel.lanes in
-    if stop ~means ~cycles then
-      { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
-    else go acc nunits
+    Array.iter push fresh;
+    let means = Array.sub !buf 0 !len in
+    let cycles = !len * batch * Kernel.lanes in
+    if stop ~means ~cycles then finish means cycles else go ()
   in
-  let resumed =
-    match resume_means with
-    | None -> []
-    | Some ms ->
-        (* keep only whole rounds so stop-rule evaluation points line up
-           with the unit-index boundaries a fresh run would have used —
-           the price of a crash mid-round is re-running that round *)
-        let k = Array.length ms / round * round in
-        Array.to_list (Array.sub ms 0 k)
-  in
-  let nunits0 = List.length resumed in
-  let means0 = Array.of_list resumed in
+  let nunits0 = Array.length resumed in
   let cycles0 = nunits0 * batch * Kernel.lanes in
   (* entry stop-check: the previous run may have crashed after the stop
      rule fired but before its final snapshot landed *)
-  if nunits0 > 0 && stop ~means:means0 ~cycles:cycles0 then
-    { mean = Hlp_util.Stats.mean means0; unit_means = means0; cycles = cycles0 }
-  else go resumed nunits0
+  if nunits0 > 0 && stop ~means:resumed ~cycles:cycles0 then
+    finish resumed cycles0
+  else go ()

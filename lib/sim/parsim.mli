@@ -138,10 +138,14 @@ val monte_carlo_units :
   seed:int ->
   stop:(means:float array -> cycles:int -> bool) ->
   mc
-(** Evaluate independent Monte Carlo {e units} — each a fresh 63-lane
-    {!Kernel} state of the once-compiled plan, stepped [batch] times under
-    uniform random inputs from a PRNG stream determined by
-    [(seed, unit index)] — until [stop] says so. [stop] is consulted on
+(** Evaluate independent Monte Carlo {e units} — each a 63-lane
+    {!Kernel} state of the once-compiled plan in its reset condition,
+    stepped [batch] times under uniform random inputs from a PRNG stream
+    determined by [(seed, unit index)] — until [stop] says so. The
+    single-worker engines run every unit on one state, {!Kernel.reset}
+    between units; [Parallel] creates one state per unit, since a round's
+    units run concurrently. Either way a unit's mean is the bits a fresh
+    state would give. [stop] is consulted on
     unit-index boundaries that do not depend on [jobs] (after every unit,
     or after every fixed-size round of 8 units for [Parallel]), so the
     returned estimate is bit-identical for any number of domains, and unit

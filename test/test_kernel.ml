@@ -13,7 +13,10 @@
    physically, the levelization edge cases (zero-fanin constant gates,
    dangling nodes) survive compilation, the degradation chain lands on
    Scalar when the kernel cannot apply, and the fault-injection point
-   trips inside the compiled step like it does inside the interpreters. *)
+   trips inside the compiled step like it does inside the interpreters.
+   Finally the accounting pass in C (hardware and portable popcount)
+   against an OCaml table-popcount reference, and a recycled
+   [Kernel.reset] state against a fresh one. *)
 
 open Hlp_logic
 open Hlp_sim
@@ -708,6 +711,216 @@ let test_set_counting_and_reset () =
         (bits (Kernel.lane_switched_capacitance ker).(j)))
     (Bitsim.lane_switched_capacitance bit)
 
+(* --- the C accounting pass vs an OCaml table-popcount reference --- *)
+
+let reference_account order ~old ~nw ~deltas ~toggles ~highs =
+  let nz = ref 0 in
+  Array.iteri
+    (fun k i ->
+      let d = old.(i) lxor nw.(i) in
+      deltas.(k) <- d;
+      toggles.(i) <- toggles.(i) + Hlp_util.Bits.popcount d;
+      highs.(i) <- highs.(i) + Hlp_util.Bits.popcount nw.(i);
+      if d <> 0 then incr nz)
+    order;
+  !nz
+
+(* 0, all 63 lanes set, bit 62 alone, bit 62 plus random lanes, and
+   uniform words: the tag-bit arithmetic in the stub must mask to 63
+   lanes exactly at both ends *)
+let gen_word =
+  QCheck.Gen.(
+    frequency
+      [ (1, return 0);
+        (1, return (-1));
+        (1, return min_int);
+        (2, map (fun w -> w lor min_int) int);
+        (3, int) ])
+
+let gen_account_case =
+  QCheck.Gen.(
+    int_range 1 48 >>= fun n ->
+    let order = Array.init n Fun.id in
+    shuffle_a order >>= fun () ->
+    array_size (return n) gen_word >>= fun old ->
+    array_size (return n) gen_word >>= fun nw ->
+    array_size (return n) gen_word >>= fun deltas ->
+    array_size (return n) (int_bound 10_000) >>= fun toggles ->
+    array_size (return n) (int_bound 10_000) >|= fun highs ->
+    (order, old, nw, deltas, toggles, highs))
+
+let qcheck_account_pass =
+  QCheck.Test.make ~count:300
+    ~name:
+      "C accounting pass equals the table-popcount reference (deltas, \
+       toggles, highs, nonzero count; hardware and portable paths)"
+    (QCheck.make gen_account_case)
+    (fun (order, old, nw, deltas, toggles, highs) ->
+      let rd = Array.copy deltas
+      and rt = Array.copy toggles
+      and rh = Array.copy highs in
+      let rnz =
+        reference_account order ~old ~nw ~deltas:rd ~toggles:rt ~highs:rh
+      in
+      List.for_all
+        (fun portable ->
+          let d = Array.copy deltas
+          and t = Array.copy toggles
+          and h = Array.copy highs in
+          let nz =
+            Kernel.account_pass ~portable order ~old ~nw ~deltas:d ~toggles:t
+              ~highs:h
+          in
+          nz = rnz && d = rd && t = rt && h = rh)
+        [ false; true ])
+
+let test_account_pass_validation () =
+  let a n = Array.make n 0 in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "expected Invalid_argument for %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "a short array" (fun () ->
+      Kernel.account_pass [| 0; 1 |] ~old:(a 2) ~nw:(a 1) ~deltas:(a 2)
+        ~toggles:(a 2) ~highs:(a 2));
+  rejects "a repeated index" (fun () ->
+      Kernel.account_pass [| 1; 1 |] ~old:(a 2) ~nw:(a 2) ~deltas:(a 2)
+        ~toggles:(a 2) ~highs:(a 2));
+  rejects "an out-of-range index" (fun () ->
+      Kernel.account_pass [| 0; 2 |] ~old:(a 2) ~nw:(a 2) ~deltas:(a 2)
+        ~toggles:(a 2) ~highs:(a 2))
+
+let test_popcount_ops () =
+  (* a counted step adds one popcount per nonzero delta plus one per node
+     (the high counts); an uncounted step adds none *)
+  Test_durability.with_telemetry @@ fun () ->
+  let net = Test_bitsim.sequential_net () in
+  let n = Netlist.num_nodes net and nin = Array.length net.Netlist.inputs in
+  let ops () =
+    Hlp_util.Telemetry.count (Hlp_util.Telemetry.counter "kernel.popcount_ops")
+  in
+  let ker = Kernel.create (Kernel.compile net) in
+  let rng = Hlp_util.Prng.create 23 in
+  for j = 1 to 12 do
+    let counting = j mod 4 <> 0 in
+    Kernel.set_counting ker counting;
+    let before = Array.init n (Kernel.value ker) in
+    let o0 = ops () in
+    Kernel.step ker (random_words rng nin);
+    let changed = ref 0 in
+    Array.iteri (fun i w -> if w <> Kernel.value ker i then incr changed) before;
+    Alcotest.(check int)
+      (Printf.sprintf "popcount_ops after step %d" j)
+      (if counting then !changed + n else 0)
+      (ops () - o0)
+  done
+
+(* --- Kernel.reset: a recycled state replays like a fresh one --- *)
+
+(* Dirty one state with [k] random steps (counting switched off after the
+   first, so reset must switch it back on), reset it, then drive it and a
+   freshly created state of the same plan with identical stimuli and
+   require every observable to match after every step. *)
+let reset_matches_fresh ?caps ~track_lanes net ~k ~seed =
+  let plan = Kernel.compile ?caps net in
+  let nin = Array.length net.Netlist.inputs in
+  let n = Netlist.num_nodes net in
+  let rng = Hlp_util.Prng.create seed in
+  let used = Kernel.create ~track_lanes plan in
+  for j = 1 to k do
+    if j = 2 then Kernel.set_counting used false;
+    Kernel.step used (random_words rng nin)
+  done;
+  Kernel.reset used;
+  let fresh = Kernel.create ~track_lanes plan in
+  let same what a b =
+    Alcotest.(check (array int)) (Printf.sprintf "%s (k=%d)" what k) a b
+  in
+  let values s = Array.init n (Kernel.value s) in
+  same "reset values" (values fresh) (values used);
+  for _ = 1 to 40 do
+    let words = random_words rng nin in
+    Kernel.step fresh words;
+    Kernel.step used words;
+    same "values" (values fresh) (values used);
+    same "output words" (Kernel.output_words fresh) (Kernel.output_words used)
+  done;
+  same "toggles" (Kernel.toggle_counts fresh) (Kernel.toggle_counts used);
+  same "highs" (Kernel.high_counts fresh) (Kernel.high_counts used);
+  Alcotest.(check int) "cycles" (Kernel.cycles fresh) (Kernel.cycles used);
+  float_bits_equal "switched capacitance"
+    (Kernel.switched_capacitance fresh)
+    (Kernel.switched_capacitance used);
+  if track_lanes then
+    Array.iter2
+      (fun a b -> float_bits_equal "lane switched capacitance" a b)
+      (Kernel.lane_switched_capacitance fresh)
+      (Kernel.lane_switched_capacitance used)
+
+(* negative caps are not [lanes_fast]: lanes go through the scan of the
+   pass's recorded deltas instead of the lane-major stub *)
+let slow_caps net =
+  Array.mapi
+    (fun i c -> if i mod 3 = 0 then -.c -. 0.5 else c)
+    (Netlist.node_capacitance net)
+
+(* registers whose data pins, settled at reset, differ from their init
+   values: only a state whose first edge re-captures the reset state
+   keeps [t] at 1 on step one *)
+let first_edge_net () =
+  let b = Netlist.Builder.create () in
+  let en = Netlist.Builder.input ~name:"en" b in
+  let t =
+    Netlist.Builder.dff_feedback ~init:true b (fun q -> Netlist.Builder.not_ b q)
+  in
+  let c =
+    Netlist.Builder.dff_feedback b (fun q ->
+        Netlist.Builder.xor_ b q (Netlist.Builder.or_ b [ t; en ]))
+  in
+  Netlist.Builder.output b "t" t;
+  Netlist.Builder.output b "c" c;
+  Netlist.Builder.finish b
+
+let test_reset_matches_fresh () =
+  let cases =
+    [ ("multiplier 4", Generators.multiplier_circuit 4);
+      ("sequential", Test_bitsim.sequential_net ());
+      ("first edge", first_edge_net ()) ]
+  in
+  List.iter
+    (fun (_, net) ->
+      List.iter
+        (fun (caps, track_lanes) ->
+          List.iter
+            (fun k -> reset_matches_fresh ?caps ~track_lanes net ~k ~seed:(k + 5))
+            [ 0; 1; 3; 17 ])
+        [ (None, false); (None, true); (Some (slow_caps net), true) ])
+    cases
+
+let test_slow_caps_match_bitsim () =
+  (* the non-[lanes_fast] lane path charges through [Bitsim.scan_lanes]
+     in accounting order: bit-identical to the interpreter *)
+  List.iter
+    (fun net ->
+      let caps = slow_caps net in
+      let nin = Array.length net.Netlist.inputs in
+      let rng = Hlp_util.Prng.create 3 in
+      let bit = Bitsim.create ~caps ~track_lanes:true net in
+      let ker = Kernel.create ~track_lanes:true (Kernel.compile ~caps net) in
+      for _ = 1 to 30 do
+        let words = random_words rng nin in
+        Bitsim.step bit words;
+        Kernel.step ker words
+      done;
+      Alcotest.(check (array int)) "toggles" (Bitsim.toggle_counts bit)
+        (Kernel.toggle_counts ker);
+      Array.iter2
+        (fun a b -> float_bits_equal "lane" a b)
+        (Bitsim.lane_switched_capacitance bit)
+        (Kernel.lane_switched_capacitance ker))
+    [ Generators.multiplier_circuit 4; Test_bitsim.sequential_net () ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_step_differential;
@@ -764,4 +977,13 @@ let suite =
       test_validation;
     Alcotest.test_case "set_counting / reset_counters parity" `Quick
       test_set_counting_and_reset;
+    QCheck_alcotest.to_alcotest qcheck_account_pass;
+    Alcotest.test_case "accounting pass entry checks its bounds" `Quick
+      test_account_pass_validation;
+    Alcotest.test_case "popcount_ops: nonzero deltas plus nodes" `Quick
+      test_popcount_ops;
+    Alcotest.test_case "reset after k steps replays like a fresh state"
+      `Quick test_reset_matches_fresh;
+    Alcotest.test_case "non-lanes_fast caps stay bit-identical to bitsim"
+      `Quick test_slow_caps_match_bitsim;
   ]
