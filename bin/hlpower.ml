@@ -306,18 +306,6 @@ let estimate_cmd =
 
 (* --- batch: supervised estimation campaigns --- *)
 
-(* One estimation job parsed from the jobs.json array. *)
-type batch_job = {
-  bj_name : string;
-  bj_net : Hlp_logic.Netlist.t;
-  bj_seed : int;
-  bj_engine : Hlp_sim.Engine.t;
-  bj_rp : float option;
-  bj_max_cycles : int option;
-  bj_batch : int option;
-  bj_node_limit : int option;
-}
-
 let parse_jobs_file path =
   let bad why =
     raise (Hlp_util.Err.invalid_input ~what:("batch jobs file " ^ path) why)
@@ -327,72 +315,19 @@ let parse_jobs_file path =
     with Sys_error e -> bad e
   in
   let jobs =
-    match Hlp_util.Json.parse contents with
+    match Result.map Hlp_util.Json.to_list_opt (Hlp_util.Json.parse contents) with
     | Error e -> bad ("not valid JSON: " ^ e)
-    | Ok v -> (
-        match Hlp_util.Json.to_list_opt v with
-        | Some l -> l
-        | None -> bad "top level must be an array of job objects")
+    | Ok None -> bad "top level must be an array of job objects"
+    | Ok (Some l) -> l
   in
   if jobs = [] then bad "no jobs";
+  (* a job is a daemon estimate request plus batch's own fields *)
   Array.of_list
     (List.mapi
-       (fun i v ->
-         let where fld = Printf.sprintf "job %d: %S" i fld in
-         let str fld d =
-           match Hlp_util.Json.member fld v with
-           | None -> d
-           | Some x -> (
-               match Hlp_util.Json.to_str_opt x with
-               | Some s -> s
-               | None -> bad (where fld ^ " must be a string"))
-         in
-         let int_ fld d =
-           match Hlp_util.Json.member fld v with
-           | None -> d
-           | Some x -> (
-               match Hlp_util.Json.to_int_opt x with
-               | Some n -> Some n
-               | None -> bad (where fld ^ " must be an integer"))
-         in
-         let float_ fld =
-           match Hlp_util.Json.member fld v with
-           | None -> None
-           | Some x -> (
-               match Hlp_util.Json.to_float_opt x with
-               | Some f -> Some f
-               | None -> bad (where fld ^ " must be a number"))
-         in
-         let circuit_name = str "circuit" "multiplier" in
-         let circuit =
-           match List.assoc_opt circuit_name circuits with
-           | Some c -> c
-           | None ->
-               bad
-                 (where "circuit" ^ " unknown: " ^ circuit_name ^ " (expected "
-                 ^ enum_doc circuits ^ ")")
-         in
-         let engine_name = str "engine" "bitparallel" in
-         let engine =
-           match List.assoc_opt engine_name engine_enum with
-           | Some e -> e
-           | None ->
-               bad
-                 (where "engine" ^ " unknown: " ^ engine_name ^ " (expected "
-                 ^ enum_doc engine_enum ^ ")")
-         in
-         let width = Option.value (int_ "width" (Some 8)) ~default:8 in
-         {
-           bj_name =
-             str "name" (Printf.sprintf "job%d-%s%d" i circuit_name width);
-           bj_net = circuit width;
-           bj_seed = Option.value (int_ "seed" (Some (47 + i))) ~default:(47 + i);
-           bj_engine = engine;
-           bj_rp = float_ "relative_precision";
-           bj_max_cycles = int_ "max_cycles" None;
-           bj_batch = int_ "batch" None;
-           bj_node_limit = int_ "node_limit" None;
-         })
+       (fun index v ->
+         try Hlp_power.Service.decode_job ~index v
+         with Hlp_util.Err.Error (Hlp_util.Err.Invalid_input { what; why }) ->
+           bad (Printf.sprintf "job %d: %s: %s" index what why))
        jobs)
 
 let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
@@ -405,158 +340,122 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
   let queue_budget = require_at_least ~flag:"--queue-budget" 1 queue_budget in
   if telemetry_json <> None || report <> None then Hlp_util.Telemetry.enable ();
   if trace_out <> None then Hlp_util.Trace.enable ();
+  let module J = Hlp_util.Json in
+  let module P = Hlp_power.Probprop in
+  let module Sup = Hlp_util.Supervisor in
   let jobs = parse_jobs_file jobs_file in
-  (match checkpoint_dir with
-  | Some dir ->
+  Option.iter
+    (fun dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
       else if not (Sys.is_directory dir) then
         raise
           (Hlp_util.Err.invalid_input ~what:"--checkpoint-dir"
-             (dir ^ " exists and is not a directory"))
-  | None -> ());
+             (dir ^ " exists and is not a directory")))
+    checkpoint_dir;
   (* one breaker for the symbolic BDD stage, shared by every job: repeated
      node-budget trips open it and jobs route straight to Monte Carlo
      until the cooldown lets one probe try symbolic again *)
   let breaker =
-    Hlp_util.Supervisor.breaker ?failure_threshold:breaker_threshold
+    Sup.breaker ?failure_threshold:breaker_threshold
       ?cooldown_s:breaker_cooldown "probprop.symbolic"
   in
-  let run_job _idx guard job =
+  let estimate_fields (g : P.guarded) =
+    [ ("estimate", J.Float g.capacitance);
+      ("provenance", P.provenance_json g.provenance) ]
+  in
+  let run_job _idx guard (job : Hlp_power.Service.job) =
     let ck =
       Option.map
         (fun dir ->
-          Hlp_power.Probprop.checkpoint ~resume
-            (Filename.concat dir (job.bj_name ^ ".journal")))
+          P.checkpoint ~resume (Filename.concat dir (job.name ^ ".journal")))
         checkpoint_dir
     in
-    let combinational = Hlp_logic.Netlist.num_dffs job.bj_net = 0 in
-    let try_symbolic =
-      combinational && Hlp_util.Supervisor.breaker_allows breaker
-    in
-    let r =
-      Hlp_power.Probprop.estimate_guarded ~guard ~try_symbolic ?checkpoint:ck
-        ?node_limit:job.bj_node_limit ?batch:job.bj_batch
-        ?relative_precision:job.bj_rp ?max_cycles:job.bj_max_cycles
-        ~seed:job.bj_seed ~engine:job.bj_engine ?max_retries job.bj_net
-    in
-    (if combinational && try_symbolic then
-       match r with
-       | Ok g ->
-           if g.Hlp_power.Probprop.symbolic_fallback then
-             Hlp_util.Supervisor.breaker_failure breaker
-           else Hlp_util.Supervisor.breaker_success breaker
-       | Error _ ->
-           (* the failure was not the symbolic stage's (budget trips are
-              contained inside estimate_guarded as symbolic_fallback);
-              release the permission/probe without a penalty *)
-           Hlp_util.Supervisor.breaker_success breaker);
-    match r with
+    match
+      Hlp_power.Service.run_estimate ~guard ~breaker ?checkpoint:ck
+        ?batch:job.batch ?max_retries job.request
+    with
     | Error e -> raise (Hlp_util.Err.Error e)
     | Ok g ->
-        (match checkpoint_dir with
-        | Some dir ->
-            (* atomic per-job snapshot: old complete file or new complete
-               file, never a torn one *)
-            Hlp_util.Json.write
-              ~path:(Filename.concat dir (job.bj_name ^ ".result.json"))
-              (Hlp_util.Json.Obj
-                 [ ("name", Hlp_util.Json.Str job.bj_name);
-                   ("estimate",
-                    Hlp_util.Json.Float g.Hlp_power.Probprop.capacitance);
-                   ("provenance",
-                    Hlp_power.Probprop.provenance_json
-                      g.Hlp_power.Probprop.provenance) ])
-        | None -> ());
+        (* atomic per-job snapshot: old complete file or new complete
+           file, never a torn one *)
+        Option.iter
+          (fun dir ->
+            J.write
+              ~path:(Filename.concat dir (job.name ^ ".result.json"))
+              (J.Obj (("name", J.Str job.name) :: estimate_fields g)))
+          checkpoint_dir;
         g
   in
   let (results, stats), signal =
-    Hlp_util.Supervisor.with_graceful_stop (fun token ->
-        Hlp_util.Supervisor.run_jobs ?max_inflight ?queue_budget
-          ?deadline_s:deadline ~token run_job jobs)
+    Sup.with_graceful_stop (fun token ->
+        Sup.run_jobs ?max_inflight ?queue_budget ?deadline_s:deadline ~token
+          run_job jobs)
   in
+  let name i = jobs.(i).Hlp_power.Service.name in
   Printf.printf "%-20s %-12s %s\n" "job" "status" "result";
   Array.iteri
     (fun i r ->
       match r with
-      | Ok g ->
-          Printf.printf "%-20s %-12s %10.1f cap units/cycle [%s]\n"
-            jobs.(i).bj_name "ok" g.Hlp_power.Probprop.capacitance
-            g.Hlp_power.Probprop.provenance.Hlp_power.Probprop.estimator_used
+      | Ok (g : P.guarded) ->
+          Printf.printf "%-20s %-12s %10.1f cap units/cycle [%s]\n" (name i)
+            "ok" g.capacitance g.provenance.estimator_used
       | Error e ->
-          Printf.printf "%-20s %-12s %s\n" jobs.(i).bj_name
+          Printf.printf "%-20s %-12s %s\n" (name i)
             (Hlp_util.Err.class_name e)
             (Hlp_util.Err.to_string e))
     results;
   Printf.printf
     "%d jobs: %d ok, %d failed, %d shed (queue), %d shed (deadline)\n"
-    (Array.length jobs) stats.Hlp_util.Supervisor.ok
-    stats.Hlp_util.Supervisor.failed stats.Hlp_util.Supervisor.shed_queue
-    stats.Hlp_util.Supervisor.shed_deadline;
+    (Array.length jobs) stats.Sup.ok stats.failed stats.shed_queue
+    stats.shed_deadline;
   (match signal with
   | Some _ -> print_endline "stopped by signal; journals flushed"
   | None -> ());
   let summary_json =
-    Hlp_util.Json.Obj
-      [ ("command", Hlp_util.Json.Str "batch");
-        ("jobs",
-         Hlp_util.Json.List
-           (Array.to_list
-              (Array.mapi
-                 (fun i r ->
-                   Hlp_util.Json.Obj
-                     (("name", Hlp_util.Json.Str jobs.(i).bj_name)
-                     ::
-                     (match r with
-                     | Ok g ->
-                         [ ("status", Hlp_util.Json.Str "ok");
-                           ("estimate",
-                            Hlp_util.Json.Float
-                              g.Hlp_power.Probprop.capacitance);
-                           ("provenance",
-                            Hlp_power.Probprop.provenance_json
-                              g.Hlp_power.Probprop.provenance) ]
-                     | Error e ->
-                         [ ("status",
-                            Hlp_util.Json.Str (Hlp_util.Err.class_name e));
-                           ("error",
-                            Hlp_util.Json.Str (Hlp_util.Err.to_string e)) ])))
-                 results)));
-        ("stats",
-         Hlp_util.Json.Obj
-           [ ("ran", Hlp_util.Json.Int stats.Hlp_util.Supervisor.ran);
-             ("ok", Hlp_util.Json.Int stats.Hlp_util.Supervisor.ok);
-             ("failed", Hlp_util.Json.Int stats.Hlp_util.Supervisor.failed);
-             ("shed_queue",
-              Hlp_util.Json.Int stats.Hlp_util.Supervisor.shed_queue);
-             ("shed_deadline",
-              Hlp_util.Json.Int stats.Hlp_util.Supervisor.shed_deadline) ]);
-        ("signal",
-         match signal with
-         | Some s ->
-             Hlp_util.Json.Int (Hlp_util.Supervisor.signal_exit_code s - 128)
-         | None -> Hlp_util.Json.Null);
+    J.Obj
+      [ ("command", J.Str "batch");
+        ( "jobs",
+          J.List
+            (List.mapi
+               (fun i r ->
+                 J.Obj
+                   (("name", J.Str (name i))
+                   ::
+                   (match r with
+                   | Ok g -> ("status", J.Str "ok") :: estimate_fields g
+                   | Error e ->
+                       [ ("status", J.Str (Hlp_util.Err.class_name e));
+                         ("error", J.Str (Hlp_util.Err.to_string e)) ])))
+               (Array.to_list results)) );
+        ( "stats",
+          J.Obj
+            [ ("ran", J.Int stats.Sup.ran);
+              ("ok", J.Int stats.ok);
+              ("failed", J.Int stats.failed);
+              ("shed_queue", J.Int stats.shed_queue);
+              ("shed_deadline", J.Int stats.shed_deadline) ] );
+        ( "signal",
+          match signal with
+          | Some s -> J.Int (Sup.signal_exit_code s - 128)
+          | None -> J.Null );
         ("telemetry", Hlp_util.Telemetry.json_value ()) ]
   in
-  (match report with
-  | Some path ->
-      Hlp_util.Json.write ~path summary_json;
-      Printf.printf "batch report written to %s\n" path
-  | None -> ());
-  (match checkpoint_dir with
-  | Some dir ->
-      Hlp_util.Json.write
-        ~path:(Filename.concat dir "batch_summary.json")
-        summary_json
-  | None -> ());
-  (match telemetry_json with
-  | Some path ->
-      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n")
-  | None -> ());
-  (match trace_out with
-  | Some path -> Hlp_util.Trace.write ~path
-  | None -> ());
+  Option.iter
+    (fun path ->
+      J.write ~path summary_json;
+      Printf.printf "batch report written to %s\n" path)
+    report;
+  Option.iter
+    (fun dir ->
+      J.write ~path:(Filename.concat dir "batch_summary.json") summary_json)
+    checkpoint_dir;
+  Option.iter
+    (fun path ->
+      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n"))
+    telemetry_json;
+  Option.iter (fun path -> Hlp_util.Trace.write ~path) trace_out;
   match signal with
-  | Some s -> Hlp_util.Supervisor.signal_exit_code s
+  | Some s -> Sup.signal_exit_code s
   | None -> (
       (* 0 iff every job delivered; otherwise the stable code of the first
          failure in job order, so scripts see a deterministic class *)
@@ -571,10 +470,12 @@ let batch_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"JOBS.json"
              ~doc:
-               "JSON array of estimate jobs; each object may set $(b,name), \
-                $(b,circuit), $(b,width), $(b,seed), $(b,engine), \
-                $(b,relative_precision), $(b,max_cycles), $(b,batch), \
-                $(b,node_limit)")
+               "JSON array of estimate jobs. Each object is a $(b,serve) \
+                estimate request ($(b,circuit), $(b,width), $(b,seed), \
+                $(b,engine), $(b,relative_precision), $(b,max_cycles), \
+                $(b,node_limit), with the same bounds) plus $(b,name) and \
+                $(b,batch); $(b,circuit) defaults to multiplier and \
+                $(b,seed) to 47 plus the job's index")
   in
   let checkpoint_dir =
     Arg.(value & opt (some string) None

@@ -144,7 +144,8 @@ let ci_stop ~relative_precision ~max_cycles ~means ~cycles =
     Hlp_util.Telemetry.observe tel_running_mean (Hlp_util.Stats.mean means);
     Hlp_util.Telemetry.observe tel_half_width (ci_half_width means)
   end;
-  cycles >= max_cycles
+  (* the cap never stops a run before two means: one has no interval *)
+  (cycles >= max_cycles && Array.length means >= 2)
   || Array.length means >= 3
      &&
      let m = Hlp_util.Stats.mean means in
@@ -445,7 +446,10 @@ let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
     batch_means = means;
   }
 
-let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_000)
+let default_max_cycles = 100_000
+
+let monte_carlo ?(batch = 30) ?(relative_precision = 0.05)
+    ?(max_cycles = default_max_cycles)
     ?(seed = 47) ?(engine = Hlp_sim.Engine.Scalar) ?jobs ?max_retries
     ?checkpoint:ck ?(guard = Hlp_util.Guard.unlimited) net =
   if batch < 2 then
@@ -520,17 +524,11 @@ let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_00
      run could report *)
   let stop_now () =
     let means = Array.of_list !batch_means in
-    if Array.length means >= 2 && Hlp_util.Telemetry.enabled () then begin
-      Hlp_util.Telemetry.observe tel_running_mean (Hlp_util.Stats.mean means);
-      Hlp_util.Telemetry.observe tel_half_width (ci_half_width means)
-    end;
-    if Array.length means >= 3 then begin
-      let m = Hlp_util.Stats.mean means in
-      let half = ci_half_width means in
-      if (m > 0.0 && half /. m <= relative_precision) || !cycles >= max_cycles
-      then Some (m, half)
-      else None
-    end
+    (* the shared rule, except that the scalar cap waits for three batches *)
+    if
+      ci_stop ~relative_precision ~max_cycles ~means ~cycles:!cycles
+      && Array.length means >= 3
+    then Some (Hlp_util.Stats.mean means, ci_half_width means)
     else None
   in
   let finish (m, half) k =
@@ -652,7 +650,7 @@ let tail_len = 8
 let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
     ?(node_limit = default_node_limit) ?input_prob ?batch ?relative_precision
     ?max_cycles ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?jobs
-    ?max_retries ?(try_symbolic = true) ?symbolic_cache ?checkpoint:ck net =
+    ?max_retries ?breaker ?symbolic_cache ?checkpoint:ck net =
   (* provenance baselines: counter deltas isolate this estimate's share of
      the process-wide counters. Telemetry counters only move while the
      telemetry switch is on, so the record carries [counters_live] to say
@@ -719,38 +717,41 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
      a combinational cone); a budget trip is the paper's symbolic blowup,
      counted and degraded, never fatal. *)
   let symbolic_cap, symbolic_fallback =
-    (* [try_symbolic = false] is the supervisor's circuit breaker saying
-       the BDD stage has been tripping: route straight to sampling *)
-    if Netlist.num_dffs net > 0 || not try_symbolic then (None, false)
-    else begin
-      let budget_trip () =
-        Hlp_util.Telemetry.incr tel_symbolic_fallbacks;
-        Hlp_util.Trace.instant
-          ~args:(fun () -> [ ("node_limit", Hlp_util.Json.Int node_limit) ])
-          "probprop.symbolic_budget_trip";
-        (None, true)
-      in
-      match (input_prob, symbolic_cache) with
-      | None, Some cache -> (
-          (* the exact symbolic answer is pure in the netlist structure
-             (under the default input distribution), so the serve daemon
-             caches it by fingerprint. Only successes are inserted: a
-             budget trip raises out of the compute thunk before the
-             insert, so a later call with a larger budget still tries. *)
-          match
+    (* an open breaker says the BDD stage has been tripping: route
+       straight to sampling. Each permission is paired with one report. *)
+    let report f = Option.iter f breaker in
+    let allowed () =
+      Option.fold ~none:true ~some:Hlp_util.Supervisor.breaker_allows breaker
+    in
+    if Netlist.num_dffs net > 0 || not (allowed ()) then (None, false)
+    else
+      match
+        match (input_prob, symbolic_cache) with
+        | None, Some cache ->
+            (* the exact symbolic answer is pure in the netlist structure
+               (under the default input distribution), so the serve daemon
+               caches it by fingerprint. Only successes are inserted: a
+               budget trip raises out of the compute thunk before the
+               insert, so a later call with a larger budget still tries. *)
             Netcache.find_or_compute cache ~key:(Netlist.fingerprint net)
-              (fun () ->
-                estimate_capacitance net (symbolic ~node_limit net))
-          with
-          | cap -> (Some cap, false)
-          | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
-              budget_trip ())
-      | _ -> (
-          match symbolic ?input_prob ~node_limit net with
-          | stats -> (Some (estimate_capacitance net stats), false)
-          | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
-              budget_trip ())
-    end
+              (fun () -> estimate_capacitance net (symbolic ~node_limit net))
+        | _ -> estimate_capacitance net (symbolic ?input_prob ~node_limit net)
+      with
+      | cap ->
+          report Hlp_util.Supervisor.breaker_success;
+          (Some cap, false)
+      | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
+          report Hlp_util.Supervisor.breaker_failure;
+          Hlp_util.Telemetry.incr tel_symbolic_fallbacks;
+          Hlp_util.Trace.instant
+            ~args:(fun () -> [ ("node_limit", Hlp_util.Json.Int node_limit) ])
+            "probprop.symbolic_budget_trip";
+          (None, true)
+      | exception exn ->
+          (* not the stage's own failure mode: release the permission
+             without a penalty, then let the error take its course *)
+          report Hlp_util.Supervisor.breaker_success;
+          raise exn
   in
   match symbolic_cap with
   | Some cap ->

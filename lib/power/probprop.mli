@@ -202,6 +202,11 @@ val default_node_limit : int
     comfortably above every module-sized circuit in the experiments,
     small enough to trip in milliseconds on a blowup). *)
 
+val default_max_cycles : int
+(** Monte Carlo cycle cap used when [max_cycles] is omitted (100k). The
+    cap never stops a run before two batch means (an interval needs
+    two). *)
+
 val estimate_guarded :
   ?guard:Hlp_util.Guard.t ->
   ?node_limit:int ->
@@ -213,19 +218,24 @@ val estimate_guarded :
   ?engine:Hlp_sim.Engine.t ->
   ?jobs:int ->
   ?max_retries:int ->
-  ?try_symbolic:bool ->
+  ?breaker:Hlp_util.Supervisor.breaker ->
   ?symbolic_cache:float Hlp_logic.Netcache.t ->
   ?checkpoint:checkpoint ->
   Hlp_logic.Netlist.t ->
   (guarded, Hlp_util.Err.t) result
 (** Estimate switched capacitance per cycle, degrading instead of
     crashing. Stage 1 runs {!symbolic} under [node_limit] (skipped for
-    sequential netlists, or when [try_symbolic] is [false] — the batch
-    supervisor's circuit breaker routes jobs straight to sampling that
-    way once the BDD stage has tripped repeatedly); a [Budget_exceeded]
-    trip is counted in ["probprop.symbolic_fallbacks"] and degrades to
-    stage 2, Monte Carlo sampling starting at [engine] (default
-    [Bitparallel]) behind {!Hlp_sim.Parsim.with_degradation}.
+    sequential netlists); a [Budget_exceeded] trip is counted in
+    ["probprop.symbolic_fallbacks"] and degrades to stage 2, Monte Carlo
+    sampling starting at [engine] (default [Bitparallel]) behind
+    {!Hlp_sim.Parsim.with_degradation}.
+
+    [breaker] guards stage 1: it is asked only for a combinational
+    netlist, and a refusal routes straight to sampling. Each permission
+    is paired exactly once, right after the stage: an answer reports
+    [breaker_success], a budget trip [breaker_failure], and any other
+    exception releases it with [breaker_success] before propagating — so
+    a half-open probe never stays stuck.
     [checkpoint] makes the sampling stage resumable (an engine-degradation
     hop rewrites the journal header, so the journal self-heals rather
     than resuming across engines). Guard trips and invalid input

@@ -68,10 +68,10 @@ let create ?(netlist_capacity = 64) ?(estimate_capacity = 256)
 
 let snapshot_version = 1
 
-(* the estimate cache-key derivation, spelled out; change op_estimate's
-   key fold => change this string *)
+(* the estimate cache-key derivation, spelled out; change estimate_key's
+   fold => change this string *)
 let snapshot_recipe =
-  "fnv64:fingerprint+engine+seed+rp_bits+max_cycles+node_limit"
+  "fnv64:fingerprint+engine+seed+rp_bits+max_cycles+node_limit;defaults-applied"
 
 let snap_counter name = Hlp_util.Telemetry.counter ("server.snapshot." ^ name)
 let tel_snap_saves = snap_counter "saves"
@@ -291,31 +291,93 @@ let fbits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
 
 (* --- common request decoding --- *)
 
-let decode_circuit t obj =
+let decode_circuit obj =
   let name = req_str obj "circuit" in
-  let gen =
-    match List.assoc_opt name circuits with
-    | Some g -> g
-    | None ->
-        bad "circuit"
-          ("unknown (expected one of "
-          ^ String.concat ", " (List.map fst circuits)
-          ^ ")")
-  in
+  if not (List.mem_assoc name circuits) then
+    bad "circuit"
+      ("unknown (expected one of "
+      ^ String.concat ", " (List.map fst circuits)
+      ^ ")");
   let width = with_default 8 (opt_int obj "width") in
   check_width ~what:"request width" width;
-  let net =
-    Netcache.find_or_compute t.netlists
-      ~key:(Netcache.combine (Netcache.hash_string name) (Int64.of_int width))
-      (fun () -> gen width)
-  in
-  (name, width, net)
+  (name, width)
 
 let decode_engine obj =
   let s = with_default "bitparallel" (opt_str obj "engine") in
   match Hlp_sim.Engine.of_string s with
   | Some e -> e
   | None -> bad "engine" ("unknown engine " ^ s)
+
+let cached_netlist t name width =
+  Netcache.find_or_compute t.netlists
+    ~key:(Netcache.combine (Netcache.hash_string name) (Int64.of_int width))
+    (fun () -> (List.assoc name circuits) width)
+
+(* --- the estimate request: one schema for the daemon and batch --- *)
+
+type estimate_request = {
+  circuit : string;
+  width : int;
+  engine : Hlp_sim.Engine.t;
+  seed : int;
+  relative_precision : float;
+  max_cycles : int;
+  node_limit : int;
+}
+
+let decode_estimate obj =
+  let circuit, width = decode_circuit obj in
+  let engine = decode_engine obj in
+  let seed = with_default 47 (opt_int obj "seed") in
+  let relative_precision = with_default 0.05 (opt_float obj "relative_precision") in
+  if (not (Float.is_finite relative_precision)) || relative_precision < 0.0 then
+    bad "relative_precision" "must be finite and >= 0";
+  let positive name default =
+    let v = with_default default (opt_int obj name) in
+    if v < 1 then bad name "must be >= 1";
+    v
+  in
+  let max_cycles = positive "max_cycles" Probprop.default_max_cycles in
+  let node_limit = positive "node_limit" Probprop.default_node_limit in
+  { circuit; width; engine; seed; relative_precision; max_cycles; node_limit }
+
+(* folded from the decoded request, so an absent field and its explicit
+   default share one key *)
+let estimate_key r net =
+  let open Netcache in
+  List.fold_left combine
+    (Netlist.fingerprint net)
+    [ hash_string (Hlp_sim.Engine.to_string r.engine);
+      Int64.of_int r.seed;
+      Int64.bits_of_float r.relative_precision;
+      Int64.of_int r.max_cycles;
+      Int64.of_int r.node_limit ]
+
+let run_estimate ?guard ?breaker ?symbolic_cache ?checkpoint ?batch
+    ?max_retries ?net r =
+  let net =
+    match net with Some n -> n | None -> (List.assoc r.circuit circuits) r.width
+  in
+  Probprop.estimate_guarded ?guard ?breaker ?symbolic_cache ?checkpoint ?batch
+    ?max_retries ~seed:r.seed ~engine:r.engine
+    ~relative_precision:r.relative_precision ~max_cycles:r.max_cycles
+    ~node_limit:r.node_limit net
+
+type job = { name : string; batch : int option; request : estimate_request }
+
+let decode_job ~index = function
+  | J.Obj kvs ->
+      (* batch's historical defaults, filled in before decoding *)
+      let fill k v kvs = if List.mem_assoc k kvs then kvs else (k, v) :: kvs in
+      let kvs = fill "seed" (J.Int (47 + index)) kvs in
+      let obj = J.Obj (fill "circuit" (J.Str "multiplier") kvs) in
+      let request = decode_estimate obj in
+      let default = Printf.sprintf "job%d-%s%d" index request.circuit request.width in
+      let batch = opt_int obj "batch" in
+      if Option.fold ~none:false ~some:(fun b -> b < 2) batch then
+        bad "batch" "must be >= 2 (batch means need at least two cycles)";
+      { name = with_default default (opt_str obj "name"); batch; request }
+  | _ -> bad "job" "must be an object"
 
 (* --- ops --- *)
 
@@ -328,45 +390,27 @@ let op_ping obj ~rid id =
     (J.Obj [ ("op", J.Str "ping"); ("pong", J.Bool true) ])
 
 let op_estimate t guard (ctx : Srv.ctx) obj ~rid id =
-  let name, width, net = decode_circuit t obj in
-  let engine = decode_engine obj in
-  let seed = with_default 47 (opt_int obj "seed") in
-  let rp = with_default 0.05 (opt_float obj "relative_precision") in
-  let max_cycles = opt_int obj "max_cycles" in
-  let node_limit = opt_int obj "node_limit" in
-  let key =
-    let open Netcache in
-    List.fold_left combine
-      (Netlist.fingerprint net)
-      [ hash_string (Hlp_sim.Engine.to_string engine);
-        Int64.of_int seed;
-        Int64.bits_of_float rp;
-        Int64.of_int (with_default 0 max_cycles);
-        Int64.of_int (with_default 0 node_limit) ]
-  in
-  ctx.Srv.key <- Printf.sprintf "%016Lx" key;
+  let r = decode_estimate obj in
+  let net = cached_netlist t r.circuit r.width in
+  let key = estimate_key r net in
+  ctx.Srv.key <- key_hex key;
   let result, outcome =
     Netcache.find_or_compute_outcome t.estimates ~key (fun () ->
-        let try_symbolic = Hlp_util.Supervisor.breaker_allows t.breaker in
         match
-          Probprop.estimate_guarded ~guard ~seed ~engine ~relative_precision:rp
-            ?max_cycles ?node_limit ~try_symbolic ~symbolic_cache:t.symbolic net
+          run_estimate ~guard ~breaker:t.breaker ~symbolic_cache:t.symbolic
+            ~net r
         with
         | Error e -> raise (Err.Error e)  (* never cache failures *)
         | Ok g ->
-            if try_symbolic then
-              if g.Probprop.symbolic_fallback then
-                Hlp_util.Supervisor.breaker_failure t.breaker
-              else Hlp_util.Supervisor.breaker_success t.breaker;
             let p = g.Probprop.provenance in
             J.to_string ~compact:true
               (J.Obj
                  [ ("op", J.Str "estimate");
-                   ("circuit", J.Str name);
-                   ("width", J.Int width);
-                   ("engine", J.Str (Hlp_sim.Engine.to_string engine));
-                   ("seed", J.Int seed);
-                   ("relative_precision", J.Float rp);
+                   ("circuit", J.Str r.circuit);
+                   ("width", J.Int r.width);
+                   ("engine", J.Str (Hlp_sim.Engine.to_string r.engine));
+                   ("seed", J.Int r.seed);
+                   ("relative_precision", J.Float r.relative_precision);
                    ("capacitance", J.Float g.Probprop.capacitance);
                    ("capacitance_bits", J.Str (fbits g.Probprop.capacitance));
                    ("estimator", J.Str p.Probprop.estimator_used);
@@ -396,7 +440,8 @@ let op_estimate t guard (ctx : Srv.ctx) obj ~rid id =
     (J.escape rid) cached result
 
 let op_sampler t obj ~rid id =
-  let name, width, net = decode_circuit t obj in
+  let name, width = decode_circuit obj in
+  let net = cached_netlist t name width in
   let engine = decode_engine obj in
   let seed = with_default 47 (opt_int obj "seed") in
   let cycles = with_default 256 (opt_int obj "cycles") in
@@ -443,12 +488,6 @@ let op_sampler t obj ~rid id =
    serving exactly these fields; [metrics] serves them plus the full
    flight-recorder snapshot. *)
 let stats_fields t =
-  let breaker =
-    match Hlp_util.Supervisor.breaker_state t.breaker with
-    | Hlp_util.Supervisor.Closed -> "closed"
-    | Hlp_util.Supervisor.Open -> "open"
-    | Hlp_util.Supervisor.Half_open -> "half-open"
-  in
   [ ("netlists", J.Int (Netcache.length t.netlists));
     ("symbolic", J.Int (Netcache.length t.symbolic));
     ("models", J.Int (Netcache.length t.models));
@@ -459,7 +498,7 @@ let stats_fields t =
         (Hlp_util.Telemetry.count
            (Hlp_util.Telemetry.counter "server.estimates.coalesced")) );
     ("kernel_plans", J.Int (Hlp_sim.Kernel.cache_length ()));
-    ("breaker", J.Str breaker) ]
+    ("breaker", J.Str Hlp_util.Supervisor.(state_name (breaker_state t.breaker))) ]
 
 let op_stats t ~rid id =
   ok_envelope ~rid id (J.Obj (("op", J.Str "stats") :: stats_fields t))

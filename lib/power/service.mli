@@ -20,9 +20,7 @@
     {b Ops.}
     - ["ping"]: liveness; an optional ["sleep_s"] occupies the worker —
       the deterministic way tests and the bench provoke overload.
-    - ["estimate"]: guarded estimation of a generator circuit
-      (["circuit"], ["width"], ["engine"], ["seed"],
-      ["relative_precision"], optional ["max_cycles"], ["node_limit"]).
+    - ["estimate"]: guarded estimation of one {!estimate_request}.
     - ["sampler"]: macro-model cosimulation of the circuit (census,
       gate reference, and a sampled estimate).
     - ["stats"]: cache occupancy (including in-flight and coalesced
@@ -57,15 +55,16 @@
     {!Probprop.estimate_guarded}'s [symbolic_cache]), fitted macro-models
     (["server.models"]), and finished estimates (["server.estimates"],
     keyed by fingerprint + engine + seed + precision + cycle budget +
-    node limit). The estimate cache stores the {e serialized} result
-    object, so a warm answer is byte-identical to the cold one by
-    construction; compiled kernel plans share {!Hlp_sim.Kernel}'s
-    process-wide cache. Failed estimates are never cached.
+    node limit, defaults applied). The estimate cache stores the
+    {e serialized} result object, so a warm answer is byte-identical to
+    the cold one by construction; compiled kernel plans share
+    {!Hlp_sim.Kernel}'s process-wide cache. Failed estimates are never
+    cached.
 
     {b Breaker.} One {!Hlp_util.Supervisor.breaker} guards the symbolic
     BDD stage: repeated budget trips open it and estimates route
-    straight to Monte Carlo ([try_symbolic:false]) until the cooldown
-    probe succeeds. *)
+    straight to Monte Carlo until the cooldown probe succeeds
+    ({!Probprop.estimate_guarded} pairs its permissions and reports). *)
 
 type t
 
@@ -114,8 +113,10 @@ val handle : t -> Hlp_util.Server.ctx -> string -> string
 val snapshot_version : int
 
 val snapshot_recipe : string
-(** The estimate cache-key derivation the snapshot binds. Any change to
-    how [op_estimate] folds its key {b must} change this string. *)
+(** The estimate cache-key derivation the snapshot binds, over the
+    decoded request with defaults applied:
+    ["fnv64:fingerprint+engine+seed+rp_bits+max_cycles+node_limit;defaults-applied"].
+    Any change to the key fold {b must} change this string. *)
 
 val save_snapshot : t -> path:string -> int
 (** Spill the estimate and symbolic caches to [path] atomically,
@@ -156,6 +157,50 @@ val prometheus_of_metrics : Hlp_util.Json.t -> string
     cumulative [_bucket{le=...}] lines, [+Inf], [_sum], and [_count].
     Metric names are the telemetry names prefixed [hlpower_] with
     non-identifier characters mapped to ['_']. *)
+
+(** {1 The estimate request}
+
+    One typed request serves the daemon's ["estimate"] op and
+    [hlpower batch]. Schema and bounds:
+    - ["circuit"] (required): a name in {!circuits};
+    - ["width"]: 1..24 ({!check_width}), default 8;
+    - ["engine"]: an {!Hlp_sim.Engine.of_string} name or alias, default
+      [bitparallel];
+    - ["seed"]: an integer, default 47;
+    - ["relative_precision"]: finite and [>= 0], default 0.05;
+    - ["max_cycles"]: [>= 1], default {!Probprop.default_max_cycles};
+    - ["node_limit"]: [>= 1], default {!Probprop.default_node_limit}.
+
+    Defaults are applied before keying: an absent field and its explicit
+    default are one request and one cache key (see {!snapshot_recipe}).
+    A missing [circuit], a wrong JSON type, an unknown name or an
+    out-of-bounds value raises the typed [Invalid_input] (exit 65). *)
+
+type estimate_request
+
+val decode_estimate : Hlp_util.Json.t -> estimate_request
+
+val run_estimate :
+  ?guard:Hlp_util.Guard.t ->
+  ?breaker:Hlp_util.Supervisor.breaker ->
+  ?symbolic_cache:float Hlp_logic.Netcache.t ->
+  ?checkpoint:Probprop.checkpoint ->
+  ?batch:int ->
+  ?max_retries:int ->
+  ?net:Hlp_logic.Netlist.t ->
+  estimate_request ->
+  (Probprop.guarded, Hlp_util.Err.t) result
+(** {!Probprop.estimate_guarded} under the request's parameters, on [net]
+    (default: a fresh netlist of the request's circuit and width). *)
+
+type job = { name : string; batch : int option; request : estimate_request }
+(** One [hlpower batch] job: an estimate request plus batch's own fields
+    (["batch"], the Monte Carlo batch length, must be [>= 2]). *)
+
+val decode_job : index:int -> Hlp_util.Json.t -> job
+(** Fill batch's defaults into job [index] — circuit ["multiplier"], seed
+    [47 + index] — then {!decode_estimate}. ["name"] defaults to
+    [job<index>-<circuit><width>]; a non-object is [Invalid_input]. *)
 
 (** {1 Requests} — builders the CLI client and bench use, so the schema
     has one producer. Omitted optionals are omitted from the JSON and

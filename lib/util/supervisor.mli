@@ -40,6 +40,9 @@ val breaker :
 
 val breaker_state : breaker -> breaker_state
 
+val state_name : breaker_state -> string
+(** ["closed"], ["open"] or ["half-open"]. *)
+
 val breaker_allows : breaker -> bool
 (** Ask permission to take the guarded path. [Closed]: always true.
     [Open]: false until the cooldown elapses (monotonic {!Clock}), at

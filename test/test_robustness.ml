@@ -360,6 +360,53 @@ let test_estimate_guarded_deadline () =
       Alcotest.(check string) "deadline surfaces" "deadline-exceeded"
         (Err.class_name e)
 
+(* A half-open probe whose symbolic stage raises something other than a
+   budget trip must still release the breaker; otherwise it stays
+   half-open for good and every later estimate skips the symbolic stage. *)
+let test_estimate_guarded_breaker_released_on_raise () =
+  let module S = Hlp_util.Supervisor in
+  let b = S.breaker ~failure_threshold:1 ~cooldown_s:0.0 "test.symbolic" in
+  Alcotest.(check bool) "closed allows" true (S.breaker_allows b);
+  S.breaker_failure b;
+  Alcotest.(check bool) "one trip opens it" true (S.breaker_state b = S.Open);
+  let net = Hlp_logic.Generators.adder_circuit 4 in
+  (match
+     Hlp_power.Probprop.estimate_guarded ~breaker:b
+       ~input_prob:(fun _ -> failwith "input_prob exploded")
+       net
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the stage's exception did not propagate");
+  Alcotest.(check bool) "probe released: breaker closed" true
+    (S.breaker_state b = S.Closed);
+  Alcotest.(check bool) "breaker allows again" true (S.breaker_allows b);
+  S.breaker_success b
+
+(* The cycle cap never stops a lane run before two units: one unit mean
+   has no t interval (df 0), and a raise inside the stop rule would
+   silently degrade the estimate to the scalar engine. *)
+let test_lane_mc_small_cycle_cap () =
+  let net = Hlp_logic.Generators.multiplier_circuit 8 in
+  List.iter
+    (fun name ->
+      let engine = Option.get (Hlp_sim.Engine.of_string name) in
+      match
+        Hlp_power.Probprop.estimate_guarded ~node_limit:60 ~max_cycles:1
+          ~seed:3 ~engine net
+      with
+      | Error e -> Alcotest.failf "%s: %s" name (Err.to_string e)
+      | Ok g ->
+          let p = g.Hlp_power.Probprop.provenance in
+          (* [parallel] evaluates the stop rule once per round of 8 units *)
+          let units = if engine = Hlp_sim.Engine.Parallel then 8 else 2 in
+          Alcotest.(check int) (name ^ ": batches") units p.Hlp_power.Probprop.batches;
+          Alcotest.(check (option string))
+            (name ^ ": engine_used") (Some (Hlp_sim.Engine.to_string engine))
+            p.Hlp_power.Probprop.engine;
+          Alcotest.(check int) (name ^ ": no engine fallback") 0
+            g.Hlp_power.Probprop.engine_fallbacks)
+    [ "bitparallel"; "bitpar"; "parallel"; "par"; "compiled"; "kernel" ]
+
 let test_monte_carlo_validation () =
   let net = Hlp_logic.Generators.adder_circuit 4 in
   check_err "invalid-input" "batch < 2" (fun () ->
@@ -509,6 +556,10 @@ let suite =
     Alcotest.test_case "estimate_guarded falls back to sampling" `Quick
       test_estimate_guarded_falls_back_to_sampling;
     Alcotest.test_case "estimate_guarded deadline" `Quick test_estimate_guarded_deadline;
+    Alcotest.test_case "estimate_guarded releases a probe whose stage raises"
+      `Quick test_estimate_guarded_breaker_released_on_raise;
+    Alcotest.test_case "lane Monte Carlo: small cycle cap runs two units"
+      `Quick test_lane_mc_small_cycle_cap;
     Alcotest.test_case "monte carlo validation" `Quick test_monte_carlo_validation;
     Alcotest.test_case "sampling validation" `Quick test_sampling_validation;
     Alcotest.test_case "sampling prepare validation" `Quick

@@ -288,6 +288,143 @@ let test_sampler_deterministic_across_requests () =
           let second = ask () in
           Alcotest.(check string) "same request, same bytes" first second))
 
+(* --- the estimate request schema, in-process --- *)
+
+let mk_ctx () =
+  { Server.guard = Guard.create (); rid = "t-serve"; op = ""; key = "";
+    cache = ""; status = "ok" }
+
+let handle svc req = parse_ok req (Service.handle svc (mk_ctx ()) req)
+
+let cached_estimates svc =
+  let r = handle svc {|{"op":"stats"}|} in
+  match Option.bind r.Service.result (Json.member "estimates") with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.fail "stats without an estimates count"
+
+(* Absent fields and their explicit defaults are one request, one key;
+   an out-of-range value is rejected before it can reach the cache, so it
+   can never alias (and poison) the key of a default. *)
+let test_estimate_key_normalized () =
+  let svc = Service.create () in
+  let base = {|"op":"estimate","circuit":"multiplier","width":6,"seed":5|} in
+  let bad = handle svc (Printf.sprintf {|{%s,"max_cycles":0}|} base) in
+  (match bad.Service.error with
+  | Some (cls, _, code) ->
+      Alcotest.(check string) "max_cycles 0: class" "invalid-input" cls;
+      Alcotest.(check int) "max_cycles 0: exit code" 65 code
+  | None -> Alcotest.fail "max_cycles 0 accepted");
+  Alcotest.(check int) "a rejected request caches nothing" 0
+    (cached_estimates svc);
+  let absent = handle svc (Printf.sprintf "{%s}" base) in
+  Alcotest.(check bool) "absent: ok" true absent.Service.ok;
+  Alcotest.(check bool) "absent: computed, not served" false
+    absent.Service.cached;
+  let explicit =
+    handle svc
+      (Printf.sprintf {|{%s,"max_cycles":%d,"node_limit":%d}|} base
+         Probprop.default_max_cycles Probprop.default_node_limit)
+  in
+  Alcotest.(check bool) "explicit defaults: cached" true
+    explicit.Service.cached;
+  Alcotest.(check (option string))
+    "explicit defaults: same bytes"
+    (Service.result_string absent)
+    (Service.result_string explicit);
+  Alcotest.(check int) "one entry for both" 1 (cached_estimates svc)
+
+(* A qcheck wall over the daemon's estimate fields. Each field is absent,
+   well-typed and in range, out of range, or of the wrong type; valid
+   requests stay cheap (width <= 8, max_cycles <= 4000, a precision that
+   converges fast). Every reply parses, every error is typed (never
+   "internal") with an exit code in 65..70, and an ok Monte Carlo reply
+   requested under a lane name reports that name's canonical engine. *)
+let field_gen name ~valid ~out_of_range ~wrong_type =
+  let some l = QCheck.Gen.(map Option.some (oneofl l)) in
+  QCheck.Gen.(
+    frequency
+      ([ (2, return None); (10, some valid); (1, some wrong_type) ]
+      @ if out_of_range = [] then [] else [ (1, some out_of_range) ])
+    |> map (Option.map (Printf.sprintf "%S:%s" name)))
+
+let estimate_fields_gen =
+  let q = Printf.sprintf "%S" in
+  let engines = [ "scalar"; "bitparallel"; "bitpar"; "parallel"; "par"; "compiled"; "kernel" ] in
+  QCheck.Gen.(
+    flatten_l
+      [ field_gen "circuit"
+          ~valid:(List.map (fun (c, _) -> q c) Service.circuits)
+          ~out_of_range:[ q "warp"; q "" ] ~wrong_type:[ "4"; "null" ];
+        field_gen "width" ~valid:[ "1"; "2"; "4"; "8" ]
+          ~out_of_range:[ "-1"; "0"; "25"; "1000" ]
+          ~wrong_type:[ q "8"; "8.5"; "true" ];
+        field_gen "engine" ~valid:(List.map q engines)
+          ~out_of_range:[ q "nope"; q "" ] ~wrong_type:[ "1"; "[]" ];
+        (* every integer is a seed: nothing is out of range *)
+        field_gen "seed" ~valid:[ "0"; "7"; "-3"; "47" ] ~out_of_range:[]
+          ~wrong_type:[ q "x"; "1.5" ];
+        field_gen "relative_precision" ~valid:[ "0.05"; "0.2"; "1" ]
+          ~out_of_range:[ "-1"; "-0.001"; "1e999"; "-1e999" ]
+          ~wrong_type:[ q "0.05"; "null" ];
+        field_gen "max_cycles" ~valid:[ "1"; "100"; "1890"; "4000" ]
+          ~out_of_range:[ "0"; "-5" ] ~wrong_type:[ q "100"; "2.5" ];
+        field_gen "node_limit" ~valid:[ "1"; "60"; "60"; "200000" ]
+          ~out_of_range:[ "0"; "-1" ] ~wrong_type:[ q "60"; "{}" ] ])
+
+let request_of fields =
+  "{" ^ String.concat "," ({|"op":"estimate"|} :: List.filter_map Fun.id fields) ^ "}"
+
+let verdict_of_reply r =
+  match (r.Service.ok, r.Service.error) with
+  | true, _ -> Ok ()
+  | false, Some (cls, _, code) -> Error (cls, code)
+  | false, None -> Alcotest.fail "error reply without an error object"
+
+let qcheck_estimate_fields_wall =
+  QCheck.Test.make ~name:"estimate fields: typed verdicts, daemon = batch"
+    ~count:200
+    (QCheck.make ~print:request_of estimate_fields_gen)
+    (fun fields ->
+      (* a fresh service per case: a warm symbolic cache would answer the
+         small node limits that are meant to reach Monte Carlo *)
+      let svc = Service.create () in
+      let req = request_of fields in
+      let reply = handle svc req in
+      (match verdict_of_reply reply with
+      | Ok () -> (
+          let res = Option.get reply.Service.result in
+          let str k = Option.bind (Json.member k res) Json.to_str_opt in
+          match (str "estimator", str "engine") with
+          | Some "monte_carlo", Some engine when engine <> "scalar" ->
+              if str "engine_used" <> Some engine then
+                QCheck.Test.fail_reportf "lane request %s answered by %s" req
+                  (Option.value ~default:"null" (str "engine_used"))
+          | _ -> ())
+      | Error (cls, code) ->
+          if cls = "internal" || code < 65 || code > 70 then
+            QCheck.Test.fail_reportf "untyped error %s/%d for %s" cls code req);
+      (* batch decodes the same object, after filling its own defaults:
+         the daemon must agree on it *)
+      let job = Result.get_ok (Json.parse req) in
+      let batch_verdict =
+        match Service.decode_job ~index:0 job with
+        | _ -> Ok ()
+        | exception Err.Error e -> Error (Err.class_name e, Err.exit_code e)
+      in
+      let filled =
+        match job with
+        | Json.Obj kvs ->
+            let fill k v kvs = if List.mem_assoc k kvs then kvs else kvs @ [ (k, v) ] in
+            Json.to_string ~compact:true
+              (Json.Obj
+                 (kvs |> fill "circuit" (Json.Str "multiplier")
+                 |> fill "seed" (Json.Int 47)))
+        | _ -> assert false
+      in
+      if batch_verdict <> verdict_of_reply (handle svc filled) then
+        QCheck.Test.fail_reportf "batch and daemon disagree on %s" filled;
+      true)
+
 let suite =
   [
     Alcotest.test_case "frame: write/read roundtrip" `Quick test_frame_roundtrip;
@@ -309,4 +446,7 @@ let suite =
       `Quick test_handler_exception_closes_only_that_connection;
     Alcotest.test_case "serve: sampler responses deterministic" `Quick
       test_sampler_deterministic_across_requests;
+    Alcotest.test_case "serve: absent and explicit defaults share one key"
+      `Quick test_estimate_key_normalized;
+    QCheck_alcotest.to_alcotest qcheck_estimate_fields_wall;
   ]
